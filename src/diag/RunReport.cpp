@@ -243,8 +243,6 @@ std::string diag::renderRunReportJson(const RunReport &R) {
   appendUInt(Out, ReportSchemaVersion);
   Out += ",\"tool\":";
   escape(Out, R.Tool);
-  Out += ",\"backend\":";
-  escape(Out, R.Backend);
   Out += ",\"mode\":";
   escape(Out, R.Mode);
   Out += ",\n \"jobs\":[";
@@ -501,9 +499,8 @@ bool diag::renderExplainText(const json::Value &Doc, bool Color,
   }
 
   Out += sgr(Color, "\033[1m");
-  Out += strFormat("tdr run report — tool: %s, backend: %s, mode: %s",
+  Out += strFormat("tdr run report — tool: %s, mode: %s",
                    Doc.getString("tool", "?").c_str(),
-                   Doc.getString("backend", "?").c_str(),
                    Doc.getString("mode", "?").c_str());
   Out += sgr(Color, "\033[0m");
   Out += '\n';

@@ -43,8 +43,11 @@ namespace diag {
 /// member ("finish" | "force" | "isolated") and an "alternatives" array
 /// (the other constructs considered for the entry's edges, with modeled
 /// costs), and job stats grew "forces_inserted" / "isolated_inserted".
+///
+/// Version 3 dropped the top-level "backend" member: ESP-bags is the only
+/// production detector.
 inline constexpr const char *ReportSchemaName = "tdr-report";
-inline constexpr int ReportSchemaVersion = 2;
+inline constexpr int ReportSchemaVersion = 3;
 
 /// A placement the DP proposed but the static placer could not map onto
 /// the AST (and why) — the "rejected placements" part of provenance.
@@ -124,15 +127,13 @@ struct JobReport {
 
 /// The whole document.
 struct RunReport {
-  std::string Tool;    ///< "races" | "repair" | "batch"
-  std::string Backend; ///< detection backend name
-  std::string Mode;    ///< "mrw" | "srw"
+  std::string Tool; ///< "races" | "repair" | "batch"
+  std::string Mode; ///< "mrw" | "srw"
   std::vector<JobReport> Jobs;
 };
 
-/// Serializes \p R as the versioned JSON document (stable member order;
-/// witness sections are byte-identical across backends for identical
-/// reports).
+/// Serializes \p R as the versioned JSON document (stable member order,
+/// so identical race reports render identical witness sections).
 std::string renderRunReportJson(const RunReport &R);
 
 /// Writes the document to \p Path. False on I/O failure (message in

@@ -80,9 +80,9 @@ const char *modeName(EspBagsDetector::Mode M) {
   return M == EspBagsDetector::Mode::SRW ? "srw" : "mrw";
 }
 
-std::string configName(EspBagsDetector::Mode M, DetectBackend B,
+std::string configName(EspBagsDetector::Mode M, const char *Detector,
                        const char *Feed) {
-  return strFormat("%s/%s/%s", modeName(M), detectBackendName(B), Feed);
+  return strFormat("%s/%s/%s", modeName(M), Detector, Feed);
 }
 
 void addFinding(OracleOutcome &O, FindingKind K, std::string Config,
@@ -98,71 +98,55 @@ void addFinding(OracleOutcome &O, FindingKind K, std::string Config,
   obs::counter("fuzz.findings").inc();
 }
 
-DetectOptions detectOptions(EspBagsDetector::Mode M, DetectBackend B) {
-  DetectOptions O;
-  O.Mode = M;
-  O.Backend = B;
-  return O;
-}
-
-/// Detection legs for one mode: record the reference backend's fresh run,
-/// cross-check every other backend fresh, then replay the recorded stream
-/// through every backend and require the fresh reference report each time.
+/// Detection legs for one mode: record ESP-bags's fresh run, check it
+/// against the Theorem-1 reference \p Theorem1 (MRW: byte-identical; SRW:
+/// a consistent subset), then replay the recorded stream through ESP-bags
+/// and require the fresh report again.
 void runDetectionLegs(const Program &Prog, EspBagsDetector::Mode Mode,
-                      const OracleConfig &C, OracleOutcome &Out) {
-  DetectBackend Ref = C.Backends.front();
-
+                      const Detection &Theorem1, OracleOutcome &Out) {
   trace::InputTrace T;
   trace::RecorderMonitor Recorder(T.Log);
   ExecOptions Exec;
   Exec.Monitor = &Recorder;
-  Detection Fresh =
-      detectRaces(Prog, detectOptions(Mode, Ref), std::move(Exec));
+  Detection Fresh = detectRaces(Prog, Mode, std::move(Exec));
   Recorder.flush();
   ++Out.DetectRuns;
   if (!Fresh.ok()) {
-    addFinding(Out, FindingKind::ExecError, configName(Mode, Ref, "fresh"),
+    addFinding(Out, FindingKind::ExecError,
+               configName(Mode, "espbags", "fresh"),
                "interpretation failed: " + Fresh.Exec.Error);
     return;
   }
   T.Exec = Fresh.Exec;
-  std::string RefKey = renderRaceReportKey(Fresh.Report);
+  std::string FreshKey = renderRaceReportKey(Fresh.Report);
 
-  for (size_t I = 1; I < C.Backends.size(); ++I) {
-    DetectBackend B = C.Backends[I];
-    Detection D = detectRaces(Prog, detectOptions(Mode, B));
-    ++Out.DetectRuns;
-    if (!D.ok()) {
-      addFinding(Out, FindingKind::ExecError, configName(Mode, B, "fresh"),
-                 "interpretation failed: " + D.Exec.Error);
-      continue;
-    }
-    std::string Key = renderRaceReportKey(D.Report);
-    if (Key != RefKey)
-      addFinding(Out, FindingKind::BackendMismatch,
-                 configName(Mode, B, "fresh"),
-                 strFormat("fresh %s report differs from %s",
-                           detectBackendName(B), detectBackendName(Ref)),
-                 RefKey, Key);
-  }
+  std::string OracleKey = renderRaceReportKey(Theorem1.Report);
+  bool Agree = Mode == EspBagsDetector::Mode::MRW
+                   ? FreshKey == OracleKey
+                   : srwConsistentWith(Fresh.Report, Theorem1);
+  if (!Agree)
+    addFinding(Out, FindingKind::BackendMismatch,
+               configName(Mode, "oracle", "fresh"),
+               Mode == EspBagsDetector::Mode::MRW
+                   ? "fresh espbags report differs from the Theorem-1 oracle"
+                   : "srw espbags pairs are not a consistent subset of the "
+                     "Theorem-1 oracle's",
+               OracleKey, FreshKey);
 
-  for (DetectBackend B : C.Backends) {
-    Detection D =
-        detectRaces(Prog, detectOptions(Mode, B), T, trace::ReplayPlan());
-    ++Out.ReplayRuns;
-    if (!D.ok()) {
-      addFinding(Out, FindingKind::ExecError, configName(Mode, B, "replay"),
-                 "replay failed: " + D.Exec.Error);
-      continue;
-    }
-    std::string Key = renderRaceReportKey(D.Report);
-    if (Key != RefKey)
-      addFinding(Out, FindingKind::ReplayDivergence,
-                 configName(Mode, B, "replay"),
-                 strFormat("replayed %s report differs from fresh %s",
-                           detectBackendName(B), detectBackendName(Ref)),
-                 RefKey, Key);
+  Detection D = detectRaces(Prog, Mode, T, trace::ReplayPlan());
+  ++Out.ReplayRuns;
+  if (!D.ok()) {
+    addFinding(Out, FindingKind::ExecError,
+               configName(Mode, "espbags", "replay"),
+               "replay failed: " + D.Exec.Error);
+    return;
   }
+  std::string Key = renderRaceReportKey(D.Report);
+  if (Key != FreshKey)
+    addFinding(Out, FindingKind::ReplayDivergence,
+               configName(Mode, "espbags", "replay"),
+               "replayed espbags report differs from fresh espbags", FreshKey,
+               Key);
 }
 
 std::string repairOutcomeKey(const RepairResult &R, const std::string &Text) {
@@ -172,50 +156,40 @@ std::string repairOutcomeKey(const RepairResult &R, const std::string &Text) {
                    R.Stats.IsolatedInserted, Text.c_str());
 }
 
-/// Repair legs: the repair loop under the first two backends must agree
-/// byte for byte, and a successful repair must actually converge — the
-/// repaired text re-parses and is race free under the reference backend.
+/// Repair legs: the replaying repair loop and the interpret-every-time
+/// loop (--no-replay) must agree byte for byte, and a successful repair
+/// must actually converge — the repaired text re-parses and is race free
+/// under the Theorem-1 oracle.
 void runRepairLegs(const std::string &Source, const OracleConfig &C,
                    OracleOutcome &Out) {
-  unsigned Allow = C.AllConstructs ? constructs::All : constructs::Default;
-  DetectBackend A = C.Backends.front();
-  DetectBackend B = C.Backends.size() > 1 ? C.Backends[1] : A;
-
-  RepairOptions OA;
-  OA.Backend = A;
-  OA.Constructs = Allow;
-  std::string TextA;
-  RepairResult RA = repairSource(Source, TextA, OA);
+  RepairOptions Opts;
+  Opts.Constructs = C.AllConstructs ? constructs::All : constructs::Default;
+  std::string Text;
+  RepairResult R = repairSource(Source, Text, Opts);
   ++Out.RepairRuns;
 
-  if (B != A) {
-    RepairOptions OB;
-    OB.Backend = B;
-    OB.Constructs = Allow;
-    std::string TextB;
-    RepairResult RB = repairSource(Source, TextB, OB);
-    ++Out.RepairRuns;
-    std::string KeyA = repairOutcomeKey(RA, TextA);
-    std::string KeyB = repairOutcomeKey(RB, TextB);
-    if (KeyA != KeyB)
-      addFinding(Out, FindingKind::RepairDisagree,
-                 strFormat("repair/%s", detectBackendName(B)),
-                 strFormat("repair outcome under %s differs from %s",
-                           detectBackendName(B), detectBackendName(A)),
-                 KeyA, KeyB);
-  }
+  Opts.UseReplay = false;
+  std::string FreshText;
+  RepairResult Fresh = repairSource(Source, FreshText, Opts);
+  ++Out.RepairRuns;
+  std::string Key = repairOutcomeKey(R, Text);
+  std::string FreshKey = repairOutcomeKey(Fresh, FreshText);
+  if (Key != FreshKey)
+    addFinding(Out, FindingKind::RepairDisagree, "repair/no-replay",
+               "repair outcome without replay differs from the replaying "
+               "repair",
+               Key, FreshKey);
 
-  if (!RA.Success)
-    return; // a failed repair is acceptable as long as the backends agree
-  Loaded L = loadChecked(TextA);
+  if (!R.Success)
+    return; // a failed repair is acceptable as long as both loops agree
+  Loaded L = loadChecked(Text);
   if (!L.ok()) {
     addFinding(Out, FindingKind::RepairNotConverged, "repair/verify",
                "repaired program fails to parse or type-check",
                "well-formed program", L.Diags->render(*L.SM));
     return;
   }
-  Detection D = detectRaces(*L.Prog,
-                            detectOptions(EspBagsDetector::Mode::MRW, A));
+  Detection D = detectRacesOracle(*L.Prog);
   ++Out.DetectRuns;
   if (!D.ok()) {
     addFinding(Out, FindingKind::RepairNotConverged, "repair/verify",
@@ -234,11 +208,6 @@ void runRepairLegs(const std::string &Source, const OracleConfig &C,
 OracleOutcome runOracle(const std::string &Source, const OracleConfig &C) {
   OracleOutcome Out;
   obs::counter("fuzz.programs").inc();
-  if (C.Backends.empty()) {
-    addFinding(Out, FindingKind::ParseError, "config",
-               "oracle configured with no backends");
-    return Out;
-  }
 
   Loaded L = loadChecked(Source);
   if (!L.ok()) {
@@ -248,9 +217,18 @@ OracleOutcome runOracle(const std::string &Source, const OracleConfig &C) {
     return Out;
   }
 
+  // One Theorem-1 run serves both modes: it is MRW by construction, and
+  // node ids line up across runs of the same program.
+  Detection Theorem1 = detectRacesOracle(*L.Prog);
+  ++Out.DetectRuns;
+  if (!Theorem1.ok()) {
+    addFinding(Out, FindingKind::ExecError, "mrw/oracle/fresh",
+               "interpretation failed: " + Theorem1.Exec.Error);
+    return Out;
+  }
   for (EspBagsDetector::Mode Mode :
        {EspBagsDetector::Mode::SRW, EspBagsDetector::Mode::MRW})
-    runDetectionLegs(*L.Prog, Mode, C, Out);
+    runDetectionLegs(*L.Prog, Mode, Theorem1, Out);
 
   if (C.CheckRepair)
     runRepairLegs(Source, C, Out);

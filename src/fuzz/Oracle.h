@@ -6,10 +6,11 @@
 ///
 /// \file
 /// The failure predicate of the fuzz farm: runs one HJ-mini program
-/// through every configured (backend × fresh/replay × repair) combination
+/// through ESP-bags (both modes, fresh and replayed), the Theorem-1
+/// reference detector, and the repair loop (replaying and interpreting),
 /// and reports any disagreement as a typed Finding. This is the
-/// industrialized form of the loops in backend_diff_test / shadow_diff_test
-/// / trace_replay_test — one call answers "does the whole detection and
+/// industrialized form of the loops in race_test / shadow_diff_test /
+/// trace_replay_test — one call answers "does the whole detection and
 /// repair stack agree with itself on this program?", which makes it
 /// reusable as the fuzz driver's oracle, the delta-debugging reducer's
 /// predicate, and the trophy runner's regression check.
@@ -36,14 +37,17 @@ enum class FindingKind : uint8_t {
   ParseError,
   /// Interpretation or replay of a well-formed program failed.
   ExecError,
-  /// Two detection backends produced different race reports for the same
-  /// fresh execution.
+  /// ESP-bags vs the Theorem-1 reference: the fresh ESP-bags report
+  /// disagrees with detectRacesOracle's for the same execution (MRW: the
+  /// rendered reports differ; SRW: the pairs are not a consistent subset,
+  /// see srwConsistentWith).
   BackendMismatch,
   /// A replayed detection's report differs from the fresh report of the
   /// recorded execution.
   ReplayDivergence,
   /// The repair loop's outcome (success flag, error, or repaired text)
-  /// differs across backends.
+  /// differs between the replaying loop and the interpret-every-time loop
+  /// (RepairOptions::UseReplay = false, the --no-replay path).
   RepairDisagree,
   /// A repair reported success but the repaired program is malformed,
   /// fails to execute, or still races.
@@ -60,12 +64,8 @@ bool parseFindingKind(std::string_view Name, FindingKind &Out);
 
 /// Which combinations the oracle runs.
 struct OracleConfig {
-  /// Detection backends to cross-check (fresh and replayed). The first
-  /// entry is the reference whose fresh report every other run must match.
-  std::vector<DetectBackend> Backends = {
-      DetectBackend::EspBags, DetectBackend::VectorClock, DetectBackend::Par};
-  /// Run the repair loop under the first two backends and require
-  /// identical outcomes plus convergence to a race-free program.
+  /// Run the repair loop with and without replay and require identical
+  /// outcomes plus convergence to a race-free program.
   bool CheckRepair = true;
   /// Repair with the full construct vocabulary (finish, future, isolated)
   /// instead of the default allowlist.
@@ -75,7 +75,8 @@ struct OracleConfig {
 /// One invariant violation.
 struct Finding {
   FindingKind Kind = FindingKind::BackendMismatch;
-  /// The combination that diverged, e.g. "mrw/vc/fresh" or "repair/vc".
+  /// The combination that diverged, e.g. "mrw/oracle/fresh" or
+  /// "repair/no-replay".
   std::string Config;
   /// Human-readable summary.
   std::string Detail;
@@ -96,8 +97,9 @@ struct OracleOutcome {
 };
 
 /// Runs the full differential oracle over \p Source: both detector modes,
-/// every configured backend fresh and replayed against a recorded event
-/// log, and (optionally) the repair loop end to end.
+/// ESP-bags fresh and replayed against a recorded event log and checked
+/// against the Theorem-1 reference, and (optionally) the repair loop end
+/// to end.
 OracleOutcome runOracle(const std::string &Source, const OracleConfig &C);
 
 /// Reducer/trophy predicate: does \p Source still exhibit a finding of

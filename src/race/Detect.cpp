@@ -9,48 +9,14 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "race/OracleDetector.h"
-#include "race/ParDetect.h"
 #include "support/StringUtils.h"
 #include "support/Timer.h"
 
 #include <cstdlib>
+#include <set>
+#include <utility>
 
 using namespace tdr;
-
-bool tdr::parseDetectBackend(std::string_view Name, DetectBackend &Out) {
-  if (Name == "espbags") {
-    Out = DetectBackend::EspBags;
-    return true;
-  }
-  if (Name == "vc") {
-    Out = DetectBackend::VectorClock;
-    return true;
-  }
-  if (Name == "par") {
-    Out = DetectBackend::Par;
-    return true;
-  }
-  return false;
-}
-
-const char *tdr::detectBackendName(DetectBackend B) {
-  switch (B) {
-  case DetectBackend::VectorClock:
-    return "vc";
-  case DetectBackend::Par:
-    return "par";
-  case DetectBackend::EspBags:
-    break;
-  }
-  return "espbags";
-}
-
-DetectBackend tdr::defaultDetectBackend() {
-  DetectBackend B = DetectBackend::EspBags;
-  if (const char *V = std::getenv("TDR_BACKEND"))
-    parseDetectBackend(V, B);
-  return B;
-}
 
 bool tdr::backendCheckEnv() {
   const char *V = std::getenv("TDR_BACKEND_CHECK");
@@ -72,17 +38,16 @@ void publishDetection(const Detection &D) {
       .set(static_cast<int64_t>(D.ShadowBytesReserved));
 }
 
-/// One live (interpreting) detection with detector \p DetectorT. Both
-/// backends share the constructor shape (Mode, Builder) and the fused
-/// single-monitor dispatch, so backend selection is this one template
-/// parameter.
-template <typename DetectorT>
-Detection liveDetect(const Program &P, EspBagsDetector::Mode Mode,
-                     ExecOptions Exec) {
+/// One live (interpreting) detection with detector \p DetectorT, built
+/// from \p Args and the run's S-DPST builder. ESP-bags and the oracle
+/// share the fused single-monitor dispatch, so the choice is this one
+/// template parameter.
+template <typename DetectorT, typename... ArgsT>
+Detection liveDetect(const Program &P, ExecOptions Exec, ArgsT... Args) {
   Detection D;
   D.Tree = std::make_unique<Dpst>();
   DpstBuilder Builder(*D.Tree);
-  DetectorT Detector(Mode, Builder);
+  DetectorT Detector(Args..., Builder);
   FusedDetectMonitor<DetectorT> Fused(Builder, Detector);
   MonitorPipeline Pipeline;
   // Fast path: with no caller monitor the interpreter talks to the fused
@@ -104,13 +69,13 @@ Detection liveDetect(const Program &P, EspBagsDetector::Mode Mode,
 }
 
 /// One log-backed detection with detector \p DetectorT.
-template <typename DetectorT>
-Detection replayDetect(EspBagsDetector::Mode Mode, const trace::InputTrace &T,
-                       const trace::ReplayPlan &Plan) {
+template <typename DetectorT, typename... ArgsT>
+Detection replayDetect(const trace::InputTrace &T,
+                       const trace::ReplayPlan &Plan, ArgsT... Args) {
   Detection D;
   D.Tree = std::make_unique<Dpst>();
   DpstBuilder Builder(*D.Tree);
-  DetectorT Detector(Mode, Builder);
+  DetectorT Detector(Args..., Builder);
   FusedDetectMonitor<DetectorT> Fused(Builder, Detector);
   Timer ReplayTimer;
   trace::replayEvents(T.Log, Plan, Fused);
@@ -122,64 +87,36 @@ Detection replayDetect(EspBagsDetector::Mode Mode, const trace::InputTrace &T,
   return D;
 }
 
-Detection liveDetectBackend(const Program &P, const DetectOptions &Opts,
-                            ExecOptions Exec) {
-  switch (Opts.Backend) {
-  case DetectBackend::VectorClock:
-    return liveDetect<VectorClockDetector>(P, Opts.Mode, std::move(Exec));
-  case DetectBackend::Par:
-    return parDetectLive(P, Opts, std::move(Exec));
-  case DetectBackend::EspBags:
-    break;
-  }
-  return liveDetect<EspBagsDetector>(P, Opts.Mode, std::move(Exec));
-}
-
-Detection replayDetectBackend(const DetectOptions &Opts,
-                              const trace::InputTrace &T,
-                              const trace::ReplayPlan &Plan) {
-  switch (Opts.Backend) {
-  case DetectBackend::VectorClock:
-    return replayDetect<VectorClockDetector>(Opts.Mode, T, Plan);
-  case DetectBackend::Par:
-    return parDetectReplay(Opts, T, Plan);
-  case DetectBackend::EspBags:
-    break;
-  }
-  return replayDetect<EspBagsDetector>(Opts.Mode, T, Plan);
-}
-
 /// The TDR_BACKEND_CHECK differential: replays the primary run's event
-/// stream through the *other* backend and demands a byte-identical report.
-/// The secondary run executes under a throwaway metrics registry, so tests
-/// asserting exact counter values (detect.runs, espbags.*) see the same
-/// numbers with and without the check — only the verdict escapes. A
-/// mismatch fails the detection the way a run-time error would, so every
-/// caller (repair loop, CLI, tests) surfaces it.
-void crossCheckBackends(Detection &D, const DetectOptions &Opts,
-                        const trace::InputTrace &T,
-                        const trace::ReplayPlan &Plan) {
-  obs::ScopedSpan Span(obs::phase::DetectBackendCheck);
+/// stream through the Theorem-1 oracle. MRW reports must render
+/// byte-identically; an SRW report must be consistent with the oracle's
+/// (see srwConsistentWith). The oracle runs under a throwaway metrics
+/// registry, so tests asserting exact counter values (detect.runs,
+/// espbags.*) see the same numbers with and without the check — only the
+/// verdict escapes. A mismatch fails the detection the way a run-time
+/// error would, so every caller (repair loop, CLI, tests) surfaces it.
+void crossCheckOracle(Detection &D, EspBagsDetector::Mode Mode,
+                      const trace::InputTrace &T,
+                      const trace::ReplayPlan &Plan) {
+  obs::ScopedSpan Span(obs::phase::DetectOracleCheck);
   obs::counter("detect.backend_checks").inc();
-  DetectOptions Other = Opts;
-  // Cross-check against ESP-bags (the reference algorithm) unless it is
-  // the primary, in which case vector clocks take the secondary seat.
-  Other.Backend = Opts.Backend == DetectBackend::EspBags
-                      ? DetectBackend::VectorClock
-                      : DetectBackend::EspBags;
-  std::string OtherKey;
+  bool Agree;
   {
     obs::MetricsRegistry Scratch;
     obs::ScopedMetrics Scoped(Scratch);
-    Detection O = replayDetectBackend(Other, T, Plan);
-    OtherKey = renderRaceReportKey(O.Report);
+    Detection O = replayDetect<OracleDetector>(T, Plan);
+    Agree = Mode == EspBagsDetector::Mode::MRW
+                ? renderRaceReportKey(O.Report) ==
+                      renderRaceReportKey(D.Report)
+                : srwConsistentWith(D.Report, O);
   }
-  if (OtherKey == renderRaceReportKey(D.Report))
+  if (Agree)
     return;
   D.Exec.Ok = false;
   D.Exec.Error = strFormat(
-      "backend differential mismatch: %s and %s disagree on the race report",
-      detectBackendName(Opts.Backend), detectBackendName(Other.Backend));
+      "oracle differential mismatch: espbags (%s) and the Theorem-1 "
+      "oracle disagree on the race report",
+      Mode == EspBagsDetector::Mode::MRW ? "mrw" : "srw");
 }
 
 } // namespace
@@ -189,13 +126,13 @@ Detection tdr::detectRaces(const Program &P, const DetectOptions &Opts,
   obs::ScopedSpan Span(obs::phase::Detect);
   obs::counter("detect.runs").inc();
   if (!backendCheckEnv()) {
-    Detection D = liveDetectBackend(P, Opts, std::move(Exec));
+    Detection D = liveDetect<EspBagsDetector>(P, std::move(Exec), Opts.Mode);
     publishDetection(D);
     return D;
   }
-  // Backend check on a live run: record the event stream alongside the
-  // primary detection so the secondary backend replays the exact same
-  // events (an empty plan re-emits the log verbatim).
+  // Oracle check on a live run: record the event stream alongside the
+  // primary detection so the oracle replays the exact same events (an
+  // empty plan re-emits the log verbatim).
   trace::InputTrace T;
   trace::RecorderMonitor Recorder(T.Log);
   MonitorPipeline Pipeline;
@@ -206,21 +143,18 @@ Detection tdr::detectRaces(const Program &P, const DetectOptions &Opts,
   } else {
     Exec.Monitor = &Recorder;
   }
-  Detection D = liveDetectBackend(P, Opts, std::move(Exec));
+  Detection D = liveDetect<EspBagsDetector>(P, std::move(Exec), Opts.Mode);
   Recorder.flush();
   T.Exec = D.Exec;
   if (D.Exec.Ok)
-    crossCheckBackends(D, Opts, T, trace::ReplayPlan());
+    crossCheckOracle(D, Opts.Mode, T, trace::ReplayPlan());
   publishDetection(D);
   return D;
 }
 
 Detection tdr::detectRaces(const Program &P, EspBagsDetector::Mode Mode,
                            ExecOptions Exec) {
-  DetectOptions Opts;
-  Opts.Mode = Mode;
-  Opts.Backend = defaultDetectBackend();
-  return detectRaces(P, Opts, std::move(Exec));
+  return detectRaces(P, DetectOptions{Mode}, std::move(Exec));
 }
 
 Detection tdr::detectRaces(const Program &, const DetectOptions &Opts,
@@ -229,9 +163,9 @@ Detection tdr::detectRaces(const Program &, const DetectOptions &Opts,
   obs::ScopedSpan Span(obs::phase::DetectReplay);
   obs::counter("detect.runs").inc();
   obs::counter("detect.replays").inc();
-  Detection D = replayDetectBackend(Opts, T, Plan);
+  Detection D = replayDetect<EspBagsDetector>(T, Plan, Opts.Mode);
   if (D.Exec.Ok && backendCheckEnv())
-    crossCheckBackends(D, Opts, T, Plan);
+    crossCheckOracle(D, Opts.Mode, T, Plan);
   publishDetection(D);
   return D;
 }
@@ -239,30 +173,46 @@ Detection tdr::detectRaces(const Program &, const DetectOptions &Opts,
 Detection tdr::detectRaces(const Program &P, EspBagsDetector::Mode Mode,
                            const trace::InputTrace &T,
                            const trace::ReplayPlan &Plan) {
-  DetectOptions Opts;
-  Opts.Mode = Mode;
-  Opts.Backend = defaultDetectBackend();
-  return detectRaces(P, Opts, T, Plan);
+  return detectRaces(P, DetectOptions{Mode}, T, Plan);
 }
 
 Detection tdr::detectRacesOracle(const Program &, const trace::InputTrace &T,
                                  const trace::ReplayPlan &Plan) {
   obs::ScopedSpan Span(obs::phase::DetectOracleReplay);
   obs::counter("detect.replays").inc();
-  Detection D;
-  D.Tree = std::make_unique<Dpst>();
-  DpstBuilder Builder(*D.Tree);
-  OracleDetector Detector(*D.Tree, Builder);
-  FusedDetectMonitor<OracleDetector> Fused(Builder, Detector);
-  Timer ReplayTimer;
-  trace::replayEvents(T.Log, Plan, Fused);
-  obs::histogram("trace.replay_ms").observe(ReplayTimer.elapsedMs());
-  D.Exec = T.Exec;
-  D.Report = Detector.takeReport();
-  D.ShadowBytesUsed = Detector.shadowBytesUsed();
-  D.ShadowBytesReserved = Detector.shadowBytesReserved();
+  Detection D = replayDetect<OracleDetector>(T, Plan);
   publishDetection(D);
   return D;
+}
+
+Detection tdr::detectRacesOracle(const Program &P, ExecOptions Exec) {
+  obs::ScopedSpan Span(obs::phase::DetectOracle);
+  Detection D = liveDetect<OracleDetector>(P, std::move(Exec));
+  publishDetection(D);
+  return D;
+}
+
+bool tdr::srwConsistentWith(const RaceReport &Srw, const Detection &Mrw) {
+  std::set<std::pair<uint32_t, uint32_t>> MrwPairs;
+  for (const RacePair &P : Mrw.Report.Pairs)
+    MrwPairs.insert({P.Src->id(), P.Snk->id()});
+  for (const RacePair &P : Srw.Pairs)
+    if (!MrwPairs.count({P.Src->id(), P.Snk->id()}))
+      return false;
+  if (Srw.Pairs.empty() == MrwPairs.empty())
+    return true;
+  // Only an empty SRW report against a racy MRW one is left; accept it
+  // when the execution ran an isolated step or a future (see the
+  // declaration).
+  std::vector<const DpstNode *> Work = {Mrw.Tree->root()};
+  while (!Work.empty()) {
+    const DpstNode *N = Work.back();
+    Work.pop_back();
+    if (N->isIsolated() || N->isFuture())
+      return true;
+    Work.insert(Work.end(), N->children().begin(), N->children().end());
+  }
+  return false;
 }
 
 std::string tdr::renderRaceReportKey(const RaceReport &R) {
@@ -275,27 +225,4 @@ std::string tdr::renderRaceReportKey(const RaceReport &R) {
                      static_cast<unsigned>(P.SrcKind),
                      static_cast<unsigned>(P.SnkKind));
   return Out;
-}
-
-Detection tdr::detectRacesOracle(const Program &P, ExecOptions Exec) {
-  obs::ScopedSpan Span(obs::phase::DetectOracle);
-  Detection D;
-  D.Tree = std::make_unique<Dpst>();
-  DpstBuilder Builder(*D.Tree);
-  OracleDetector Detector(*D.Tree, Builder);
-  FusedDetectMonitor<OracleDetector> Fused(Builder, Detector);
-  MonitorPipeline Pipeline;
-  if (Exec.Monitor) {
-    Pipeline.add(Exec.Monitor);
-    Pipeline.add(&Fused);
-    Exec.Monitor = &Pipeline;
-  } else {
-    Exec.Monitor = &Fused;
-  }
-  D.Exec = runProgram(P, std::move(Exec));
-  D.Report = Detector.takeReport();
-  D.ShadowBytesUsed = Detector.shadowBytesUsed();
-  D.ShadowBytesReserved = Detector.shadowBytesReserved();
-  publishDetection(D);
-  return D;
 }

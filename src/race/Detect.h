@@ -9,22 +9,18 @@
 /// detector into the single "instrument and execute" stage of the tool
 /// (paper Figure 6, first box).
 ///
-/// Three production detection backends answer the happens-before query:
-/// ESP-bags (the paper's algorithm; see EspBags.h), the vector-clock
-/// detector (see VectorClockDetector.h), and the partitioned parallel
-/// detector (see ParDetect.h), which chunks a recorded event log across
-/// the work-stealing Runtime pool. All produce identical race reports for
-/// identical event streams, so the backend is a pure performance choice —
-/// selected per call through DetectOptions::Backend, or process-wide
-/// through the TDR_BACKEND environment variable ("espbags" | "vc" |
-/// "par"), which the Mode-only convenience overloads consult.
+/// ESP-bags (the paper's algorithm; see EspBags.h) is the one production
+/// detector, in SRW or MRW mode. The Theorem-1 OracleDetector (see
+/// OracleDetector.h) is its independent reference: it shares no state with
+/// the bags and answers the parallelism query structurally on the S-DPST.
 ///
 /// TDR_BACKEND_CHECK=1 in the environment turns every detection into a
-/// differential: the primary run's event stream is replayed through a
-/// *different* backend (ESP-bags unless it is the primary, then vector
-/// clocks; off the metrics books, so counter-exact tests are unaffected)
-/// and the two reports must render byte-identically, mirroring the
-/// TDR_REPLAY_CHECK mechanism for replayed-vs-fresh runs.
+/// differential: the primary run's event stream is replayed through the
+/// oracle (off the metrics books, so counter-exact tests are unaffected).
+/// In MRW mode the two reports must render byte-identically; in SRW mode
+/// the ESP-bags pair set must be a subset of the oracle's (see
+/// srwConsistentWith). This mirrors the TDR_REPLAY_CHECK mechanism for
+/// replayed-vs-fresh runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,12 +29,10 @@
 
 #include "interp/Interpreter.h"
 #include "race/EspBags.h"
-#include "race/VectorClockDetector.h"
 #include "trace/Replay.h"
 
 #include <memory>
 #include <string>
-#include <string_view>
 
 namespace tdr {
 
@@ -126,39 +120,14 @@ private:
   DetectorT &D;
 };
 
-/// Which algorithm answers the happens-before query of a detection run.
-enum class DetectBackend : uint8_t {
-  EspBags,     ///< union-find S/P bags (EspBagsDetector)
-  VectorClock, ///< COW bitset clocks (VectorClockDetector)
-  Par,         ///< partitioned parallel log detection (ParDetect.h)
-};
-
-/// Parses a backend name ("espbags" | "vc" | "par"). Returns false on
-/// anything else, leaving \p Out untouched.
-bool parseDetectBackend(std::string_view Name, DetectBackend &Out);
-
-/// The canonical spelling parseDetectBackend accepts.
-const char *detectBackendName(DetectBackend B);
-
-/// The process-default backend: TDR_BACKEND in the environment, parsed
-/// with parseDetectBackend; EspBags when unset or unparsable (tools that
-/// surface flag errors validate the variable themselves — see tdr's
-/// --backend handling).
-DetectBackend defaultDetectBackend();
-
-/// TDR_BACKEND_CHECK in the environment (non-empty, not "0"): run every
-/// detection under both backends and require byte-identical reports.
+/// TDR_BACKEND_CHECK in the environment (non-empty, not "0"): check every
+/// detection against the oracle (see the file comment).
 bool backendCheckEnv();
 
 /// Per-run detection configuration. Mode picks the shadow-memory policy
-/// (SRW/MRW, paper §4.1); Backend picks the happens-before machinery.
+/// (SRW/MRW, paper §4.1).
 struct DetectOptions {
   EspBagsDetector::Mode Mode = EspBagsDetector::Mode::MRW;
-  DetectBackend Backend = DetectBackend::EspBags;
-  /// Worker count for the par backend (0 = TDR_PAR_WORKERS, else a
-  /// hardware-based default). Ignored by the sequential backends; the
-  /// report is worker-count-independent by construction.
-  unsigned ParWorkers = 0;
 };
 
 /// Everything one detection run produces.
@@ -166,9 +135,9 @@ struct Detection {
   std::unique_ptr<Dpst> Tree; ///< the S-DPST of the execution
   RaceReport Report;          ///< detected races (steps point into Tree)
   ExecResult Exec;            ///< program outcome (output, errors, work)
-  /// Shadow-store footprint of the run (summed across shards for the par
-  /// backend); published as the shadow.bytes_used / shadow.bytes_reserved
-  /// gauges, so `tdr races/repair --metrics-json` reports both.
+  /// Shadow-store footprint of the run; published as the
+  /// shadow.bytes_used / shadow.bytes_reserved gauges, so
+  /// `tdr races/repair --metrics-json` reports both.
   size_t ShadowBytesUsed = 0;
   size_t ShadowBytesReserved = 0;
 
@@ -176,13 +145,11 @@ struct Detection {
 };
 
 /// Executes \p P sequentially with the given input, building the S-DPST
-/// and detecting races with the configured backend and mode.
+/// and detecting races with ESP-bags in the configured mode.
 Detection detectRaces(const Program &P, const DetectOptions &Opts,
                       ExecOptions Exec = ExecOptions());
 
-/// Mode-only convenience: detects with the process-default backend
-/// (defaultDetectBackend(), i.e. TDR_BACKEND-selectable), so existing
-/// call sites reroute wholesale when the environment picks a backend.
+/// Mode-only convenience for the DetectOptions overload.
 Detection detectRaces(const Program &P,
                       EspBagsDetector::Mode Mode = EspBagsDetector::Mode::MRW,
                       ExecOptions Exec = ExecOptions());
@@ -200,8 +167,7 @@ Detection detectRaces(const Program &P, const DetectOptions &Opts,
                       const trace::InputTrace &T,
                       const trace::ReplayPlan &Plan);
 
-/// Mode-only convenience for the log-backed overload; backend from
-/// defaultDetectBackend().
+/// Mode-only convenience for the log-backed overload.
 Detection detectRaces(const Program &P, EspBagsDetector::Mode Mode,
                       const trace::InputTrace &T,
                       const trace::ReplayPlan &Plan);
@@ -210,13 +176,26 @@ Detection detectRaces(const Program &P, EspBagsDetector::Mode Mode,
 Detection detectRacesOracle(const Program &P, const trace::InputTrace &T,
                             const trace::ReplayPlan &Plan);
 
+/// The SRW-vs-MRW agreement the oracle checks enforce: every (src, snk)
+/// step pair of the SRW report \p Srw is also in the MRW detection
+/// \p Mrw, and \p Srw is empty exactly when \p Mrw's report is (SRW
+/// detects as completely as MRW, it only enumerates less). Both must come
+/// from the same event stream, so node ids line up. The completeness half
+/// is the paper's SRW guarantee for async/finish programs and does not
+/// survive the construct extensions: an isolated write that commutes with
+/// the shadowed writer replaces it without a report, and a forced future's
+/// reader (parallel to the bags, ordered by the force) keeps the single
+/// reader slot from a later future's reader. So when \p Mrw's tree has an
+/// isolated step or a future an empty \p Srw is accepted.
+bool srwConsistentWith(const RaceReport &Srw, const Detection &Mrw);
+
 /// Stable textual rendering of a report — step ids, locations, access
 /// kinds, raw count — used for the byte-identical replayed-vs-fresh
-/// comparison (TDR_REPLAY_CHECK) and the cross-backend comparison
+/// comparison (TDR_REPLAY_CHECK) and the ESP-bags-vs-oracle comparison
 /// (TDR_BACKEND_CHECK; mirrors the RefDetectors differential pattern).
-/// Backend-agnostic: it reads only RaceReport, and node ids are creation-
+/// Detector-agnostic: it reads only RaceReport, and node ids are creation-
 /// order indices, so identical event streams render identically across
-/// independent detection runs regardless of the backend that found the
+/// independent detection runs regardless of the detector that found the
 /// races.
 std::string renderRaceReportKey(const RaceReport &R);
 

@@ -109,7 +109,7 @@ void EspBagsDetector::recordRace(const Access &Prev, AccessKind PrevKind,
                                  MemLoc L) {
   // Isolated steps commute under mutual exclusion; the shared S-DPST
   // carries the per-step flag. Suppressed observations bump no counters,
-  // so every backend applying the same two checks stays byte-identical.
+  // so every detector applying the same two checks stays byte-identical.
   if (Dpst::bothIsolated(Prev.Step, CurStep))
     return;
   // With futures in play the bags over-approximate (a force join edge is

@@ -33,8 +33,8 @@ namespace tdr {
 /// MRW-style detector using Theorem-1 parallelism queries.
 class OracleDetector : public ExecMonitor {
 public:
-  OracleDetector(Dpst &Tree, DpstBuilder &Builder)
-      : Tree(Tree), Builder(Builder) {}
+  explicit OracleDetector(DpstBuilder &Builder)
+      : Tree(Builder.tree()), Builder(Builder) {}
 
   void onAsyncEnter(const AsyncStmt *S, const Stmt *Owner) override;
   void onAsyncExit(const AsyncStmt *S) override;
@@ -86,7 +86,7 @@ private:
     return CachedStep = Builder.currentStep();
   }
 
-  Dpst &Tree;
+  const Dpst &Tree;
   DpstBuilder &Builder;
   DpstNode *CachedStep = nullptr; ///< step-boundary-cached current step
   ShadowMemory<Shadow> Shadows;

@@ -51,7 +51,7 @@ inline uint64_t packRacePairKey(uint32_t A, uint32_t B) {
 /// preferred over the one currently kept in \p R for the same step pair.
 /// Every detector applies the same rule, so the witness a deduplicated
 /// pair keeps is a function of the set of conflicting accesses — not of
-/// the order a backend, shadow policy, or replay happened to visit them:
+/// the order a detector, shadow policy, or replay happened to visit them:
 /// more writes win (a write/write witness explains the race best), then
 /// the lowest location, then the lowest access-kind pair.
 inline bool witnessPreferred(const RacePair &R, MemLoc L, AccessKind SrcK,
@@ -76,7 +76,7 @@ inline bool witnessPreferred(const RacePair &R, MemLoc L, AccessKind SrcK,
 struct RaceReport {
   /// Distinct racing step pairs (the input to repair). Deduplicated on
   /// (Src, Snk); Loc/kinds describe the preferred witness access pair
-  /// (see witnessPreferred — deterministic across backends and replay).
+  /// (see witnessPreferred — deterministic across detectors and replay).
   std::vector<RacePair> Pairs;
   /// Total race reports before deduplication (every conflicting access
   /// pair observed) — the "number of data races" the paper's tables count.

@@ -64,17 +64,12 @@ struct MultiRepairResult {
 /// map. Pass \p Store to keep the recorded logs alive after the call
 /// (coverage analysis reuses them); when null a call-local store is used.
 /// \p UseReplay = false restores the interpret-every-time behavior.
-/// \p Backend selects the detection backend for every run, including the
-/// final verification pass (default: the TDR_BACKEND-selectable process
-/// default — see race/Detect.h).
 MultiRepairResult repairProgramForInputs(Program &P, AstContext &Ctx,
                                          const std::vector<ExecOptions> &Inputs,
                                          EspBagsDetector::Mode Mode =
                                              EspBagsDetector::Mode::MRW,
                                          trace::TraceStore *Store = nullptr,
-                                         bool UseReplay = true,
-                                         DetectBackend Backend =
-                                             defaultDetectBackend());
+                                         bool UseReplay = true);
 
 /// Coverage of one async site across a set of test inputs.
 struct AsyncSiteCoverage {

@@ -326,9 +326,7 @@ RepairResult tdr::repairProgram(Program &P, AstContext &Ctx,
   trace::TraceStore &Store = Opts.Store ? *Opts.Store : LocalStore;
   const size_t Slot = Opts.Store ? Opts.InputIndex : 0;
   const bool ReplayCheck = Opts.ReplayCheck || replayCheckEnv();
-  DetectOptions Detect;
-  Detect.Mode = Opts.Mode;
-  Detect.Backend = Opts.Backend;
+  const DetectOptions Detect{Opts.Mode};
 
   for (unsigned Iter = 0; Iter != Opts.MaxIterations; ++Iter) {
     trace::TraceEntry &Entry = Store.entry(Slot);

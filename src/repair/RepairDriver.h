@@ -33,10 +33,6 @@ namespace tdr {
 /// Repair configuration.
 struct RepairOptions {
   EspBagsDetector::Mode Mode = EspBagsDetector::Mode::MRW;
-  /// Detection backend for every run of the repair loop (see
-  /// race/Detect.h); defaults to the TDR_BACKEND-selectable process
-  /// default, so the environment reroutes unconfigured callers wholesale.
-  DetectBackend Backend = defaultDetectBackend();
   ExecOptions Exec;            ///< the test input (args, seed, limits)
   unsigned MaxIterations = 8;  ///< outer detect/repair rounds (must be >= 1)
   /// Record-once / replay-many: the first detection run interprets the
@@ -45,10 +41,11 @@ struct RepairOptions {
   /// map) instead of re-interpreting. Off = every iteration interprets
   /// (the --no-replay escape hatch).
   bool UseReplay = true;
-  /// Runs every replayed detection twice — replayed and freshly
-  /// interpreted — and fails the repair unless the reports are
+  /// Runs every replayed detection a second time, freshly interpreted,
+  /// and fails the repair unless the two ESP-bags reports are
   /// byte-identical. Also enabled by the TDR_REPLAY_CHECK environment
-  /// variable (mirrors the RefDetectors differential pattern).
+  /// variable. Independent of TDR_BACKEND_CHECK, which checks each
+  /// detection against the Theorem-1 oracle (see race/Detect.h).
   bool ReplayCheck = false;
   /// Optional shared trace store: the driver records into / replays from
   /// entry InputIndex and broadcasts every AST edit to all recorded

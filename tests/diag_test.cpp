@@ -230,7 +230,6 @@ TEST(RunReport, JsonRoundTripsThroughParserAndExplain) {
 
   diag::RunReport Rep;
   Rep.Tool = "repair";
-  Rep.Backend = "espbags";
   Rep.Mode = "mrw";
   diag::JobReport Job;
   Job.Name = "test.hj";
@@ -246,7 +245,7 @@ TEST(RunReport, JsonRoundTripsThroughParserAndExplain) {
   json::ParseResult Parsed = json::parse(JsonText);
   ASSERT_TRUE(Parsed.Ok) << Parsed.Error;
   EXPECT_EQ(Parsed.Doc.getString("schema"), "tdr-report");
-  EXPECT_EQ(Parsed.Doc.getNumber("version"), 2.0);
+  EXPECT_EQ(Parsed.Doc.getNumber("version"), 3.0);
 
   std::string Out, Err;
   ASSERT_TRUE(diag::renderExplainText(Parsed.Doc, /*Color=*/false, Out, Err))
@@ -265,25 +264,22 @@ TEST(RunReport, JsonRoundTripsThroughParserAndExplain) {
   EXPECT_FALSE(Err.empty());
 }
 
-TEST(RunReport, WitnessSectionsBackendIdentical) {
-  // The report's diagnostic subtree must not depend on the backend that
-  // found the races (the cross-backend contract check_report.py enforces
-  // end to end; here at the library level).
+TEST(RunReport, WitnessSectionsMatchOracle) {
+  // The report's diagnostic subtree must not depend on the detector that
+  // found the races: ESP-bags and the Theorem-1 oracle render the same
+  // witnesses for the same execution.
   ParsedProgram P = parseAndCheck(InputDependent);
   ASSERT_TRUE(P.ok()) << P.errors();
 
   std::string Sections[2];
-  const DetectBackend Backends[2] = {DetectBackend::EspBags,
-                                     DetectBackend::VectorClock};
   for (int I = 0; I != 2; ++I) {
     trace::EventLog Log;
     trace::RecorderMonitor Recorder(Log);
     ExecOptions Exec;
     Exec.Args = {20};
     Exec.Monitor = &Recorder;
-    DetectOptions DO;
-    DO.Backend = Backends[I];
-    Detection D = detectRaces(*P.Prog, DO, Exec);
+    Detection D = I == 0 ? detectRaces(*P.Prog, DetectOptions(), Exec)
+                         : detectRacesOracle(*P.Prog, Exec);
     Recorder.flush();
     std::vector<diag::RaceWitness> Ws =
         diag::buildWitnesses(*D.Tree, D.Report, P.SM.get(), &Log);

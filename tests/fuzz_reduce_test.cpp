@@ -67,8 +67,7 @@ bool stillRaces(const std::string &Source) {
   runSema(*Prog, Ctx, Diags);
   if (Diags.hasErrors())
     return false;
-  Detection D = detectRaces(*Prog, DetectOptions{EspBagsDetector::Mode::MRW,
-                                                 DetectBackend::EspBags});
+  Detection D = detectRaces(*Prog, EspBagsDetector::Mode::MRW);
   return D.ok() && !D.Report.Pairs.empty();
 }
 

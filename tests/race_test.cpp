@@ -2,19 +2,24 @@
 //
 // Part of the tdr project (PLDI 2014 race-repair reproduction).
 //
-// Unit tests on the paper's examples (Figures 5, 7, 8) and property tests
+// Unit tests on the paper's examples (Figures 5, 7, 8), property tests
 // validating MRW ESP-bags against the independent Theorem-1 oracle on
-// random programs.
+// random programs, and the TDR_BACKEND_CHECK differential that checks
+// every detection against that oracle.
 //
 //===----------------------------------------------------------------------===//
 
 #include "RandomProgram.h"
 #include "TestUtil.h"
 
+#include "obs/Metrics.h"
 #include "race/Detect.h"
 #include "race/OracleDetector.h"
+#include "repair/RepairDriver.h"
+#include "trace/EventLog.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <set>
 
 using namespace tdr;
@@ -368,5 +373,243 @@ TEST_P(EspBagsVsOracle, SrwPairsAreSubsetOfMrw) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EspBagsVsOracle,
                          ::testing::Values(11u, 22u, 33u, 44u, 55u));
+
+TEST(SrwConsistentWith, SubsetAndEmptinessDecideAgreement) {
+  ParsedProgram P = parseAndCheck(R"(
+var X: int = 0;
+func main() {
+  async { X = 1; }
+  async { X = 2; }
+  print(X);
+}
+)");
+  ASSERT_TRUE(P.ok()) << P.errors();
+  Detection Mrw = detect(P, EspBagsDetector::Mode::MRW);
+  Detection Srw = detect(P, EspBagsDetector::Mode::SRW);
+  ASSERT_GT(Mrw.Report.Pairs.size(), Srw.Report.Pairs.size());
+  ASSERT_FALSE(Srw.Report.Pairs.empty());
+  EXPECT_TRUE(srwConsistentWith(Srw.Report, Mrw));
+  // A race SRW sees but MRW misses, or MRW races SRW drops entirely.
+  EXPECT_FALSE(srwConsistentWith(Mrw.Report, Srw));
+  EXPECT_FALSE(srwConsistentWith(RaceReport(), Mrw));
+
+  ParsedProgram Serial = parseAndCheck(R"(
+var X: int = 0;
+func main() {
+  finish { async { X = 1; } }
+  print(X);
+}
+)");
+  ASSERT_TRUE(Serial.ok()) << Serial.errors();
+  Detection Clean = detect(Serial, EspBagsDetector::Mode::MRW);
+  ASSERT_TRUE(Clean.Report.Pairs.empty());
+  EXPECT_TRUE(srwConsistentWith(RaceReport(), Clean));
+  EXPECT_FALSE(srwConsistentWith(Srw.Report, Clean));
+}
+
+TEST(SrwConsistentWith, ConstructsExcuseAnEmptySrwReport) {
+  // Isolated: the main task's isolated write commutes with the async's, so
+  // SRW's single writer slot moves to it without a report and the async
+  // write vs the final read is never checked. Future: the forced fu0's
+  // read stays parallel to the bags, so it keeps the reader slot and the
+  // unforced fu1's read, the one that races with the final write, is
+  // dropped. MRW keeps every access in both programs.
+  for (const char *Src : {R"(
+var D: int[];
+func main() {
+  D = new int[8];
+  async {
+    isolated { D[3] = D[3] + 1; }
+  }
+  isolated { D[3] = D[3] + 2; }
+  print(D[3]);
+}
+)",
+                          R"(
+var D1: int[];
+var D2: int[];
+func fwork(i: int): int {
+  return D1[i] + i;
+}
+func main() {
+  D1 = new int[8];
+  D2 = new int[8];
+  future fu0 = fwork(7);
+  D2[7] = force(fu0);
+  future fu1 = fwork(7);
+  D1[7] += 3;
+}
+)"}) {
+    ParsedProgram P = parseAndCheck(Src);
+    ASSERT_TRUE(P.ok()) << P.errors();
+    Detection Mrw = detect(P, EspBagsDetector::Mode::MRW);
+    Detection Srw = detect(P, EspBagsDetector::Mode::SRW);
+    ASSERT_FALSE(Mrw.Report.Pairs.empty()) << Src;
+    ASSERT_TRUE(Srw.Report.Pairs.empty()) << Src;
+    EXPECT_TRUE(srwConsistentWith(Srw.Report, Mrw)) << Src;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// TDR_BACKEND_CHECK: every detection is checked against the oracle
+//===----------------------------------------------------------------------===//
+
+/// Scoped environment variable: sets on construction, restores the prior
+/// value (or unsets) on destruction.
+class EnvVar {
+public:
+  EnvVar(const char *Name, const char *Value) : Name(Name) {
+    if (const char *Old = std::getenv(Name)) {
+      Saved = Old;
+      Had = true;
+    }
+    if (Value)
+      setenv(Name, Value, 1);
+    else
+      unsetenv(Name);
+  }
+  ~EnvVar() {
+    if (Had)
+      setenv(Name, Saved.c_str(), 1);
+    else
+      unsetenv(Name);
+  }
+
+private:
+  const char *Name;
+  std::string Saved;
+  bool Had = false;
+};
+
+const char *RacySource = R"(
+func work(a: int[], i: int) {
+  a[i] = a[i] + 1;
+  a[0] = a[0] + i;
+}
+
+func main() {
+  var n: int = arg(0);
+  var a: int[] = new int[n + 1];
+  for (var i: int = 1; i <= n; i = i + 1) {
+    async work(a, i);
+  }
+  print(a[0]);
+}
+)";
+
+/// The counters one detection leaves in a fresh registry, with or without
+/// the check: the oracle leg must not add to any of them.
+struct CheckedRun {
+  std::string Key;
+  uint64_t Checks, Runs, Replays, Nodes, EspChecks, ReplayMs;
+};
+
+CheckedRun detectCounted(ParsedProgram &P, EspBagsDetector::Mode Mode,
+                         const char *Check, const trace::InputTrace *T) {
+  EnvVar E("TDR_BACKEND_CHECK", Check);
+  obs::MetricsRegistry Reg;
+  obs::ScopedMetrics Scope(Reg);
+  ExecOptions Exec;
+  Exec.Args = {5};
+  Detection D = T ? detectRaces(*P.Prog, Mode, *T, trace::ReplayPlan())
+                  : detectRaces(*P.Prog, Mode, Exec);
+  EXPECT_TRUE(D.ok()) << D.Exec.Error;
+  return {renderRaceReportKey(D.Report),
+          Reg.counterValue("detect.backend_checks"),
+          Reg.counterValue("detect.runs"),
+          Reg.counterValue("detect.replays"),
+          Reg.counterValue("dpst.nodes"),
+          Reg.counterValue("espbags.checks"),
+          Reg.histogram("trace.replay_ms").snapshot().Count};
+}
+
+void expectOffTheBooks(const CheckedRun &Checked, const CheckedRun &Plain) {
+  EXPECT_EQ(Checked.Checks, 1u);
+  EXPECT_EQ(Plain.Checks, 0u);
+  EXPECT_EQ(Checked.Key, Plain.Key);
+  EXPECT_EQ(Checked.Runs, Plain.Runs);
+  EXPECT_EQ(Checked.Replays, Plain.Replays);
+  EXPECT_EQ(Checked.Nodes, Plain.Nodes);
+  EXPECT_EQ(Checked.EspChecks, Plain.EspChecks);
+  EXPECT_EQ(Checked.ReplayMs, Plain.ReplayMs);
+}
+
+TEST(BackendCheck, FreshDetectionIsCheckedAgainstTheOracle) {
+  ParsedProgram P = parseAndCheck(RacySource);
+  ASSERT_TRUE(P.ok()) << P.errors();
+  for (EspBagsDetector::Mode Mode :
+       {EspBagsDetector::Mode::MRW, EspBagsDetector::Mode::SRW}) {
+    CheckedRun Checked = detectCounted(P, Mode, "1", nullptr);
+    CheckedRun Plain = detectCounted(P, Mode, nullptr, nullptr);
+    expectOffTheBooks(Checked, Plain);
+    EXPECT_EQ(Checked.Runs, 1u);
+    EXPECT_EQ(Checked.ReplayMs, 0u);
+  }
+}
+
+TEST(BackendCheck, ReplayedDetectionIsCheckedAgainstTheOracle) {
+  ParsedProgram P = parseAndCheck(RacySource);
+  ASSERT_TRUE(P.ok()) << P.errors();
+  trace::InputTrace T;
+  trace::RecorderMonitor Recorder(T.Log);
+  ExecOptions Exec;
+  Exec.Args = {5};
+  Exec.Monitor = &Recorder;
+  T.Exec = runProgram(*P.Prog, std::move(Exec));
+  Recorder.flush();
+  ASSERT_TRUE(T.Exec.Ok) << T.Exec.Error;
+
+  for (EspBagsDetector::Mode Mode :
+       {EspBagsDetector::Mode::MRW, EspBagsDetector::Mode::SRW}) {
+    CheckedRun Checked = detectCounted(P, Mode, "1", &T);
+    CheckedRun Plain = detectCounted(P, Mode, nullptr, &T);
+    expectOffTheBooks(Checked, Plain);
+    EXPECT_EQ(Checked.Replays, 1u);
+    EXPECT_EQ(Checked.Key, detectCounted(P, Mode, nullptr, nullptr).Key);
+  }
+}
+
+TEST(BackendCheck, ZeroAndUnsetDisableTheCheck) {
+  ParsedProgram P = parseAndCheck(RacySource);
+  ASSERT_TRUE(P.ok()) << P.errors();
+  ExecOptions Exec;
+  Exec.Args = {3};
+  for (const char *Off : {static_cast<const char *>(nullptr), "0"}) {
+    EnvVar E("TDR_BACKEND_CHECK", Off);
+    EXPECT_FALSE(backendCheckEnv());
+    obs::MetricsRegistry Reg;
+    obs::ScopedMetrics Scope(Reg);
+    Detection D = detectRaces(*P.Prog, EspBagsDetector::Mode::MRW, Exec);
+    ASSERT_TRUE(D.ok());
+    EXPECT_EQ(Reg.counterValue("detect.backend_checks"), 0u);
+  }
+  EnvVar E("TDR_BACKEND_CHECK", "1");
+  EXPECT_TRUE(backendCheckEnv());
+}
+
+TEST(BackendCheck, WholeRepairRunsCheckedInBothModes) {
+  // End-to-end: a full (replaying) repair under TDR_BACKEND_CHECK still
+  // succeeds and produces the same program as without the check — every
+  // detection along the way was checked against the oracle.
+  for (EspBagsDetector::Mode Mode :
+       {EspBagsDetector::Mode::MRW, EspBagsDetector::Mode::SRW}) {
+    RepairOptions Opts;
+    Opts.Mode = Mode;
+    Opts.Exec.Args = {5};
+    std::string Plain, Checked;
+    {
+      EnvVar E("TDR_BACKEND_CHECK", nullptr);
+      ASSERT_TRUE(repairSource(RacySource, Plain, Opts).Success);
+    }
+    EnvVar E("TDR_BACKEND_CHECK", "1");
+    obs::MetricsRegistry Reg;
+    obs::ScopedMetrics Scope(Reg);
+    RepairResult R = repairSource(RacySource, Checked, Opts);
+    ASSERT_TRUE(R.Success) << R.Error;
+    EXPECT_GE(Reg.counterValue("detect.backend_checks"),
+              static_cast<uint64_t>(R.Stats.Iterations));
+    EXPECT_EQ(Checked, Plain);
+  }
+}
 
 } // namespace

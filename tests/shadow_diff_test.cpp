@@ -11,8 +11,8 @@
 //
 // The two-level compressed shadow map (ShadowMemory.h) is held to the same
 // bar on the access shapes it exists for: random programs biased to huge
-// strided heap indices must produce reports byte-identical to the frozen
-// reference across all three production backends, fresh and replayed, and
+// strided heap indices must produce ESP-bags reports byte-identical to the
+// frozen reference and (MRW) to the Theorem-1 oracle, fresh and replayed, and
 // the sparse footprint / no-access-page COW invariants are pinned directly.
 //
 //===----------------------------------------------------------------------===//
@@ -160,7 +160,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FlatVsMapShadow,
                          ::testing::Values(101u, 202u, 303u, 404u));
 
 //===----------------------------------------------------------------------===//
-// Differential: two-level shadow on sparse giant heaps, all backends
+// Differential: two-level shadow on sparse giant heaps
 //===----------------------------------------------------------------------===//
 
 /// Records one interpretation of \p P for the replayed leg.
@@ -174,13 +174,14 @@ trace::InputTrace recordTrace(ParsedProgram &P) {
   return T;
 }
 
-TEST(SparseHeapDifferential, AllBackendsMatchFrozenRefFreshAndReplayed) {
+TEST(SparseHeapDifferential, EspBagsMatchesFrozenRefAndOracle) {
   // Sparse-heap profile: 2^18-cell arrays, indices biased to hot low
   // cells, a hot page at the top of the span, and page-hostile stride
   // sweeps — the distribution the two-level map's table, no-access page,
-  // and one-entry cache all have to get right. Every production backend
-  // must match the frozen map-shadow reference byte for byte, both on a
-  // fresh interpretation and on a replayed event log.
+  // and one-entry cache all have to get right. ESP-bags must match the
+  // frozen map-shadow reference byte for byte in both modes, both on a
+  // fresh interpretation and on a replayed event log; in MRW mode it must
+  // also match the Theorem-1 oracle on the same log.
   Rng SeedGen(0x5AD5E001);
   for (int Trial = 0; Trial != 6; ++Trial) {
     RandomProgramGen Gen(SeedGen.next());
@@ -199,25 +200,23 @@ TEST(SparseHeapDifferential, AllBackendsMatchFrozenRefFreshAndReplayed) {
       RefRun Ref = runRefEspBags(P, Mode);
       std::string RefKey = renderRaceReportKey(Ref.Report);
 
-      for (DetectBackend Backend :
-           {DetectBackend::EspBags, DetectBackend::VectorClock,
-            DetectBackend::Par}) {
-        DetectOptions Opts;
-        Opts.Mode = Mode;
-        Opts.Backend = Backend;
+      Detection Fresh = detectRaces(*P.Prog, Mode);
+      ASSERT_TRUE(Fresh.ok()) << Fresh.Exec.Error << "\n" << Src;
+      EXPECT_EQ(renderRaceReportKey(Fresh.Report), RefKey)
+          << "fresh mode " << static_cast<int>(Mode) << "\n"
+          << Src;
 
-        Detection Fresh = detectRaces(*P.Prog, Opts);
-        ASSERT_TRUE(Fresh.ok()) << Fresh.Exec.Error << "\n" << Src;
-        EXPECT_EQ(renderRaceReportKey(Fresh.Report), RefKey)
-            << "fresh " << detectBackendName(Backend) << " mode "
-            << static_cast<int>(Mode) << "\n"
-            << Src;
+      Detection Replayed = detectRaces(*P.Prog, Mode, T, Plan);
+      ASSERT_TRUE(Replayed.ok()) << Replayed.Exec.Error << "\n" << Src;
+      EXPECT_EQ(renderRaceReportKey(Replayed.Report), RefKey)
+          << "replayed mode " << static_cast<int>(Mode) << "\n"
+          << Src;
 
-        Detection Replayed = detectRaces(*P.Prog, Opts, T, Plan);
-        ASSERT_TRUE(Replayed.ok()) << Replayed.Exec.Error << "\n" << Src;
-        EXPECT_EQ(renderRaceReportKey(Replayed.Report), RefKey)
-            << "replayed " << detectBackendName(Backend) << " mode "
-            << static_cast<int>(Mode) << "\n"
+      if (Mode == EspBagsDetector::Mode::MRW) {
+        Detection Oracle = detectRacesOracle(*P.Prog, T, Plan);
+        ASSERT_TRUE(Oracle.ok()) << Oracle.Exec.Error << "\n" << Src;
+        EXPECT_EQ(renderRaceReportKey(Oracle.Report), RefKey)
+            << "oracle\n"
             << Src;
       }
     }

@@ -455,18 +455,11 @@ TEST(TraceSpill, SpilledReplayDetectionMatchesFresh) {
 
   FinishEditMap NoEdits;
   trace::ReplayPlan Plan = trace::buildReplayPlan(*P.Prog, NoEdits);
-  for (DetectBackend Backend :
-       {DetectBackend::EspBags, DetectBackend::VectorClock,
-        DetectBackend::Par}) {
-    DetectOptions Opts;
-    Opts.Backend = Backend;
-    Detection Replayed = detectRaces(*P.Prog, Opts, T, Plan);
-    Detection Fresh = detectRaces(*P.Prog, Opts);
-    ASSERT_TRUE(Fresh.ok()) << Fresh.Exec.Error;
-    EXPECT_EQ(renderRaceReportKey(Replayed.Report),
-              renderRaceReportKey(Fresh.Report))
-        << "backend " << detectBackendName(Backend);
-  }
+  Detection Replayed = detectRaces(*P.Prog, DetectOptions(), T, Plan);
+  Detection Fresh = detectRaces(*P.Prog, DetectOptions());
+  ASSERT_TRUE(Fresh.ok()) << Fresh.Exec.Error;
+  EXPECT_EQ(renderRaceReportKey(Replayed.Report),
+            renderRaceReportKey(Fresh.Report));
 }
 
 TEST(TraceSpill, ClearDropsSpillAndLogIsReusable) {

@@ -47,7 +47,6 @@ TEST(TrophyCorpus, HasTrophiesAndAllLoad) {
     std::string Error;
     ASSERT_TRUE(fuzz::readTrophy(Path, T, Error)) << Error;
     EXPECT_FALSE(T.Source.empty()) << Path;
-    EXPECT_FALSE(T.Config.Backends.empty()) << Path;
   }
 }
 
@@ -91,7 +90,6 @@ TEST(TrophyFormat, WriteReadRoundTrip) {
   T.Status = "open";
   T.Kind = fuzz::FindingKind::ReplayDivergence;
   T.Seed = 0xdeadbeefcafeull;
-  T.Config.Backends = {DetectBackend::VectorClock, DetectBackend::Par};
   T.Config.CheckRepair = false;
   T.Config.AllConstructs = true;
   T.Detail = "detail with \"quotes\" and\nnewlines";
@@ -111,9 +109,6 @@ TEST(TrophyFormat, WriteReadRoundTrip) {
   EXPECT_EQ(R.Status, T.Status);
   EXPECT_EQ(R.Kind, T.Kind);
   EXPECT_EQ(R.Seed, T.Seed);
-  ASSERT_EQ(R.Config.Backends.size(), 2u);
-  EXPECT_EQ(R.Config.Backends[0], DetectBackend::VectorClock);
-  EXPECT_EQ(R.Config.Backends[1], DetectBackend::Par);
   EXPECT_FALSE(R.Config.CheckRepair);
   EXPECT_TRUE(R.Config.AllConstructs);
   EXPECT_EQ(R.Detail, T.Detail);

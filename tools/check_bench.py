@@ -9,7 +9,7 @@ follows the shared machine-readable layout (see bench/BenchUtil.h):
 with every result row carrying the fields perf tooling diffs across runs.
 The expected report name and row schema are selected by the binary's
 basename (bench_detector -> "detector", bench_replay -> "replay",
-bench_vc -> "vc"). Invoked from CTest (see tools/CMakeLists.txt) but also
+bench_shadow -> "shadow"). Invoked from CTest (see tools/CMakeLists.txt) but also
 usable standalone:
 
     python3 tools/check_bench.py build/bench/bench_detector
@@ -19,16 +19,11 @@ Regression gates: each `--min-speedup KEY:X` requires the BEST speedup
 among result rows whose name contains KEY to be at least X (best-of so a
 single noisy window cannot flake CI; a real regression drags every row
 down). The speedup field is per-bench: detector rows carry
-`speedup_vs_map`, replay rows `speedup`, vc rows `speedup_vs_espbags`,
-pdetect rows `speedup_vs_1worker`, shadow rows `speedup_vs_base`. CI uses
-this to fail perf regressions outright:
+`speedup_vs_map`, replay rows `speedup`, shadow rows `speedup_vs_base`.
+CI uses this to fail perf regressions outright:
 
     python3 tools/check_bench.py build/bench/bench_replay \\
         --min-speedup compute-bound:1.5
-    python3 tools/check_bench.py build/bench/bench_vc \\
-        --min-speedup access:0.9
-    python3 tools/check_bench.py build/bench/bench_pdetect \\
-        --min-speedup large/MRW/w4:2.0   # only meaningful on >= 4 cores
 
 Footprint gates mirror the speedup gates on the memory axis: each
 `--max-bytes-ratio KEY:X` requires the BEST (smallest) bytes ratio among
@@ -93,69 +88,6 @@ def validate_replay_rows(results):
     # somewhere in the suite — the compute-bound workload exists precisely
     # to exercise the case record/replay targets.
     check(best >= 1.0, f"no workload shows any replay speedup (best {best:.2f}x)")
-
-
-def validate_vc_rows(results):
-    impls = set()
-    modes = set()
-    families = set()
-    for i, row in enumerate(results):
-        impls.add(row["impl"])
-        modes.add(row["mode"])
-        families.add(row["family"])
-        check(row["accesses_per_sec"] > 0, f"result {i} has non-positive rate")
-        check(row["seconds"] > 0, f"result {i} has non-positive duration")
-        check(row["total_accesses"] > 0, f"result {i} recorded no accesses")
-        if row["impl"] == "vc":
-            check(
-                row.get("speedup_vs_espbags", 0) > 0,
-                f"result {i} ({row['name']}) missing speedup_vs_espbags",
-            )
-
-    # Head-to-head means both backends over both workload families, in
-    # both detector variants.
-    check("espbags" in impls, "no 'espbags' baseline rows in report")
-    check("vc" in impls, "no 'vc' rows in report")
-    check(
-        {"access", "finish"} <= families,
-        f"expected access and finish families, got {sorted(families)}",
-    )
-    check({"SRW", "MRW"} <= modes, f"expected SRW and MRW rows, got {sorted(modes)}")
-
-
-def validate_pdetect_rows(results):
-    impls = set()
-    modes = set()
-    families = set()
-    par_workers = set()
-    for i, row in enumerate(results):
-        impls.add(row["impl"])
-        modes.add(row["mode"])
-        families.add(row["family"])
-        check(row["events"] > 0, f"result {i} ({row['name']}) recorded no events")
-        check(row["accesses_per_sec"] > 0, f"result {i} has non-positive rate")
-        check(row["seconds"] > 0, f"result {i} has non-positive duration")
-        check(row["total_accesses"] > 0, f"result {i} recorded no accesses")
-        if row["impl"] == "par":
-            par_workers.add(row["workers"])
-            check(
-                row.get("speedup_vs_1worker", 0) > 0,
-                f"result {i} ({row['name']}) missing speedup_vs_1worker",
-            )
-
-    # The scaling curve needs the sequential anchor plus the full worker
-    # sweep, over both workload families and both detector variants.
-    check("espbags" in impls, "no 'espbags' baseline rows in report")
-    check("par" in impls, "no 'par' rows in report")
-    check(
-        {1, 2, 4, 8} <= par_workers,
-        f"expected par rows at 1/2/4/8 workers, got {sorted(par_workers)}",
-    )
-    check(
-        {"large", "suite"} <= families,
-        f"expected large and suite families, got {sorted(families)}",
-    )
-    check({"SRW", "MRW"} <= modes, f"expected SRW and MRW rows, got {sorted(modes)}")
 
 
 def validate_constructs_rows(results):
@@ -305,38 +237,6 @@ BENCHES = {
         },
         validate_replay_rows,
         "speedup",
-        None,
-    ),
-    "vc": (
-        {
-            "name",
-            "family",
-            "mode",
-            "impl",
-            "locs",
-            "tasks",
-            "total_accesses",
-            "seconds",
-            "accesses_per_sec",
-        },
-        validate_vc_rows,
-        "speedup_vs_espbags",
-        None,
-    ),
-    "pdetect": (
-        {
-            "name",
-            "family",
-            "mode",
-            "impl",
-            "workers",
-            "events",
-            "total_accesses",
-            "seconds",
-            "accesses_per_sec",
-        },
-        validate_pdetect_rows,
-        "speedup_vs_1worker",
         None,
     ),
     "constructs": (

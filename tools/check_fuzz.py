@@ -35,10 +35,9 @@ def check(cond, msg):
 
 def run(cmd):
     env = dict(os.environ)
-    # The fuzzer pins backends itself; a leaking differential env var must
-    # not change what the oracle runs.
-    for var in ("TDR_BACKEND", "TDR_BACKEND_CHECK", "TDR_REPLAY_CHECK",
-                "TDR_LOG_SPILL"):
+    # The oracle picks its detection legs itself; a leaking differential
+    # env var must not change what it runs.
+    for var in ("TDR_BACKEND_CHECK", "TDR_REPLAY_CHECK", "TDR_LOG_SPILL"):
         env.pop(var, None)
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
 

@@ -5,9 +5,8 @@ Runs `tdr races/repair/batch ... --report out.json` on a racy fixture and
 checks the emitted report: schema/version header, job stats, per-iteration
 race witnesses (source line/col for both accesses, the NS-LCA node, the
 breaking async edge), and per-finish repair provenance (costs, forced
-dependence edges, rejected alternatives). Also checks that the witness
-sections are byte-identical across all three detection backends and that
-`tdr explain` accepts every report it writes. Invoked from CTest (see
+dependence edges, rejected alternatives). Also checks that `tdr explain`
+accepts every report it writes. Invoked from CTest (see
 tools/CMakeLists.txt) but also usable standalone:
 
     python3 tools/check_report.py build/tools/tdr
@@ -50,7 +49,6 @@ def check(cond, msg):
 
 def run(cmd, env_overrides=None):
     env = dict(os.environ)
-    env.pop("TDR_BACKEND", None)
     env.pop("TDR_BACKEND_CHECK", None)
     if env_overrides:
         env.update(env_overrides)
@@ -63,11 +61,10 @@ def load_report(path, label):
     with open(path) as f:
         doc = json.load(f)  # raises on malformed JSON -> test failure
     check(doc.get("schema") == "tdr-report", f"{label}: bad schema name")
-    check(doc.get("version") == 2, f"{label}: bad schema version")
+    check(doc.get("version") == 3, f"{label}: bad schema version")
     check(doc.get("tool") in ("races", "repair", "batch"),
           f"{label}: bad tool {doc.get('tool')!r}")
-    check(doc.get("backend") in ("espbags", "vc", "par"),
-          f"{label}: bad backend {doc.get('backend')!r}")
+    check("backend" not in doc, f"{label}: stale backend member")
     check(doc.get("mode") in ("srw", "mrw"),
           f"{label}: bad mode {doc.get('mode')!r}")
     jobs = doc.get("jobs")
@@ -143,14 +140,6 @@ def validate_job(job, label, racy):
     return n_witnesses
 
 
-def witness_sections(doc):
-    """The backend-independent diagnostic subtree, as canonical JSON."""
-    return json.dumps(
-        [[job.get("name"), job.get("iterations"), job.get("provenance")]
-         for job in doc["jobs"]],
-        sort_keys=True)
-
-
 def main():
     if len(sys.argv) != 2:
         print(f"usage: {sys.argv[0]} <path-to-tdr-binary>", file=sys.stderr)
@@ -170,36 +159,25 @@ def main():
             check("tdr run report" in res.stdout,
                   f"{label}: explain output missing report header")
 
-        # -- tdr races --report, under every backend ---------------------
-        sections = {}
-        for backend in ("espbags", "vc", "par"):
-            report = os.path.join(tmp, f"races-{backend}.json")
-            res = run([tdr, "races", prog, "--arg", "6",
-                       "--backend", backend, "--report", report])
-            check(res.returncode == 1,
-                  f"races[{backend}]: expected exit 1 (races found), "
-                  f"got {res.returncode}: {res.stderr.strip()}")
-            doc = load_report(report, f"races[{backend}]")
-            if doc is None:
-                continue
-            check(doc["tool"] == "races", f"races[{backend}]: tool field")
-            check(doc["backend"] == backend, f"races[{backend}]: backend field")
+        # -- tdr races --report ------------------------------------------
+        report = os.path.join(tmp, "races.json")
+        res = run([tdr, "races", prog, "--arg", "6", "--report", report])
+        check(res.returncode == 1,
+              f"races: expected exit 1 (races found), "
+              f"got {res.returncode}: {res.stderr.strip()}")
+        doc = load_report(report, "races")
+        if doc is not None:
+            check(doc["tool"] == "races", "races: tool field")
             for job in doc["jobs"]:
-                validate_job(job, f"races[{backend}]", racy=True)
-            sections[backend] = witness_sections(doc)
-            explain_ok(report, f"races[{backend}]")
-        if len(sections) == 3:
-            check(sections["espbags"] == sections["vc"],
-                  "witness sections differ between espbags and vc")
-            check(sections["espbags"] == sections["par"],
-                  "witness sections differ between espbags and par")
+                validate_job(job, "races", racy=True)
+            explain_ok(report, "races")
 
         # -- \uXXXX surrogate handling in the report reader ---------------
         # A report whose strings escape non-BMP characters as surrogate
         # pairs (json.dump with ensure_ascii emits exactly that) must
         # round-trip through `tdr explain`; a lone half must be rejected
         # as a parse error, not decoded into mojibake.
-        src = os.path.join(tmp, "races-espbags.json")
+        src = os.path.join(tmp, "races.json")
         if os.path.exists(src):
             with open(src) as f:
                 doc = json.load(f)
@@ -305,7 +283,7 @@ def main():
             print(f"check_report: FAIL: {msg}", file=sys.stderr)
         return 1
     print("check_report: OK (report schema, witnesses, and provenance are "
-          "valid and backend-identical)")
+          "valid)")
     return 0
 
 

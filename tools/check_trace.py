@@ -160,12 +160,7 @@ def validate_metrics(path):
             isinstance(value, dict) and HISTOGRAM_FIELDS <= set(value)
         )
         check(ok, f"metric '{key}' is neither a number nor a histogram object")
-    # The per-detector counter family follows the selected backend
-    # (TDR_BACKEND env / --backend flag).
-    detector = os.environ.get("TDR_BACKEND", "espbags")
-    if detector not in ("espbags", "vc", "par"):
-        detector = "espbags"
-    for name in ("dpst.nodes", f"{detector}.checks", "detect.runs"):
+    for name in ("dpst.nodes", "espbags.checks", "detect.runs"):
         check(name in doc, f"metrics dump missing '{name}'")
 
 
