@@ -22,45 +22,97 @@ std::string DpstNode::label() const {
                   : Kind == DpstKind::Finish ? "Finish"
                   : Kind == DpstKind::Future ? "Future"
                   : Kind == DpstKind::Scope
-                      ? (SKind == ScopeKind::Call ? "Call" : "Scope")
+                      ? (scopeKind() == ScopeKind::Call ? "Call" : "Scope")
                       : "Step";
   std::string S = strFormat("%s:%u", K, Id);
-  if (Kind == DpstKind::Scope && Callee)
-    S += strFormat("(%s)", Callee->name().c_str());
-  if (Kind == DpstKind::Step && Weight)
-    S += strFormat("[w=%llu]", static_cast<unsigned long long>(Weight));
+  if (callee())
+    S += strFormat("(%s)", callee()->name().c_str());
+  if (weight())
+    S += strFormat("[w=%llu]", static_cast<unsigned long long>(weight()));
   return S;
+}
+
+uint32_t DpstNode::depth() const {
+  uint32_t D = 0;
+  for (const DpstNode *X = Parent; X; X = X->Parent)
+    ++D;
+  return D;
+}
+
+Dpst::ChildRange::iterator Dpst::ChildRange::begin() const {
+  uint32_t Limit = Tree->limitOf(Parent);
+  return iterator(Tree, Parent, Limit,
+                  Tree->childAt(Parent, firstChildPos(Parent), Limit));
 }
 
 Dpst::Dpst()
     : CNodes(&obs::counter("dpst.nodes")),
       CQueries(&obs::counter("dpst.mhp_queries")),
       CInserts(&obs::counter("dpst.finish_inserts")) {
+  ForcedSets.emplace_back(); // index 0: no forced futures
   Root = createNode(DpstKind::Root, nullptr);
 }
 
-DpstNode *Dpst::createNode(DpstKind K, DpstNode *Parent) {
-  CNodes->inc();
-  Nodes.emplace_back();
-  DpstNode *N = &Nodes.back();
-  N->Id = NextId++;
-  N->Kind = K;
-  N->Parent = Parent;
-  if (Parent) {
-    N->IndexInParent = static_cast<uint32_t>(Parent->Children.size());
-    N->Depth = Parent->Depth + 1;
-    Parent->Children.push_back(N);
-  }
+DpstNode *Dpst::allocNode() {
+  uint32_t Id = NextId++;
+  if ((Id & (ChunkSize - 1)) == 0)
+    Chunks.emplace_back(new DpstNode[ChunkSize]);
+  DpstNode *N = node(Id);
+  N->Id = Id;
   return N;
 }
 
+DpstNode *Dpst::createNode(DpstKind K, DpstNode *Parent) {
+  // Built ids double as preorder positions, which holds only while no
+  // finish has been inserted out of band.
+  assert(NumBuilt == NextId && "nodes are built before finishes are inserted");
+  CNodes->inc();
+  DpstNode *N = allocNode();
+  ++NumBuilt;
+  N->Kind = K;
+  N->Parent = Parent;
+  if (K == DpstKind::Step)
+    N->End = N->Id + 1;
+  return N;
+}
+
+uint32_t Dpst::internForced(std::vector<uint32_t> S) {
+  if (S.empty())
+    return 0;
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (uint32_t V : S)
+    H = (H ^ V) * 0x100000001b3ull;
+  auto [Lo, Hi] = ForcedIndex.equal_range(H);
+  for (auto It = Lo; It != Hi; ++It)
+    if (ForcedSets[It->second] == S)
+      return It->second;
+  uint32_t I = static_cast<uint32_t>(ForcedSets.size());
+  ForcedSets.push_back(std::move(S));
+  ForcedIndex.emplace(H, I);
+  return I;
+}
+
+size_t Dpst::bytesUsed() const {
+  size_t Bytes = Chunks.size() * ChunkSize * sizeof(DpstNode) +
+                 Chunks.capacity() * sizeof(Chunks[0]) +
+                 ForcedSets.capacity() * sizeof(ForcedSets[0]);
+  for (const std::vector<uint32_t> &S : ForcedSets)
+    Bytes += S.capacity() * sizeof(uint32_t);
+  // Hash nodes: key, value and the next pointer; plus the bucket array.
+  Bytes += ForcedIndex.size() * (sizeof(void *) + 2 * sizeof(uint64_t)) +
+           ForcedIndex.bucket_count() * sizeof(void *);
+  return Bytes;
+}
+
+std::vector<DpstNode *> Dpst::childList(const DpstNode *N) const {
+  ChildRange R = children(N);
+  return std::vector<DpstNode *>(R.begin(), R.end());
+}
+
 const DpstNode *Dpst::lca(const DpstNode *A, const DpstNode *B) const {
-  while (A != B) {
-    if (A->depth() >= B->depth())
-      A = A->parent();
-    else
-      B = B->parent();
-    assert(A && B && "nodes from different trees");
+  while (!isAncestorOrSelf(A, B)) {
+    A = A->parent();
+    assert(A && "nodes from different trees");
   }
   return A;
 }
@@ -74,92 +126,79 @@ const DpstNode *Dpst::nsLca(const DpstNode *A, const DpstNode *B) const {
 
 const DpstNode *Dpst::childToward(const DpstNode *Ancestor,
                                   const DpstNode *Descendant) const {
-  // Depth-directed: hop straight to the ancestor of Descendant one level
-  // below Ancestor instead of scanning the whole path to the root.
-  uint32_t AD = Ancestor->depth();
-  const DpstNode *Cur = Descendant;
-  if (Cur->depth() <= AD)
+  if (Descendant == Ancestor || !isAncestorOrSelf(Ancestor, Descendant))
     return nullptr;
-  while (Cur->depth() > AD + 1)
+  const DpstNode *Cur = Descendant;
+  while (Cur->parent() != Ancestor)
     Cur = Cur->parent();
-  return Cur->parent() == Ancestor ? Cur : nullptr;
+  return Cur;
 }
 
 const DpstNode *Dpst::nonScopeChildToward(const DpstNode *N,
                                           const DpstNode *Descendant) const {
   // One upward walk: the first non-scope node on the way *down* from N is
   // the shallowest non-scope node strictly below N on the path, i.e. the
-  // last one seen walking *up* from Descendant. The old implementation
-  // descended with repeated childToward calls, each re-walking from
-  // Descendant — O(depth^2) on scope chains.
-  uint32_t ND = N->depth();
-  const DpstNode *Cur = Descendant;
-  if (Cur->depth() <= ND)
+  // last one seen walking *up* from Descendant.
+  if (Descendant == N || !isAncestorOrSelf(N, Descendant))
     return nullptr;
   const DpstNode *Answer = nullptr;
-  while (Cur->depth() > ND) {
+  for (const DpstNode *Cur = Descendant; Cur != N; Cur = Cur->parent())
     if (Cur->isNonScope())
       Answer = Cur;
-    Cur = Cur->parent();
-  }
-  return Cur == N ? Answer : nullptr;
+  return Answer;
 }
 
 bool Dpst::isLeftOf(const DpstNode *A, const DpstNode *B) const {
   if (A == B)
     return false;
-  const DpstNode *L = lca(A, B);
-  if (L == A)
+  if (isAncestorOrSelf(A, B))
     return true; // ancestor precedes descendants
-  if (L == B)
+  if (isAncestorOrSelf(B, A))
     return false;
-  const DpstNode *CA = childToward(L, A);
-  const DpstNode *CB = childToward(L, B);
-  return CA->indexInParent() < CB->indexInParent();
+  // Disjoint subtrees have disjoint intervals.
+  return A->pre() < B->pre();
 }
 
 bool Dpst::mayHappenInParallel(const DpstNode *S1, const DpstNode *S2) const {
   CQueries->inc();
   assert(S1 != S2 && "parallelism query on a single node");
   assert(S1->isStep() && S2->isStep() && "MHP is defined on step leaves");
-  // Single walk to the LCA, tracking per side the shallowest non-scope
+  // One walk per side up to the LCA, tracking the shallowest non-scope
   // node strictly below it. Because every node between the LCA and the
   // NS-LCA is a scope by definition, that tracked node IS the non-scope
   // child of the NS-LCA toward that side (Definition 3) — no second pass
-  // needed. Steps are leaves, so neither argument is the LCA itself.
-  auto Forces = [](const DpstNode *Fut, const DpstNode *Step) {
-    const std::vector<uint32_t> *F = Step->forced();
+  // needed. Steps are leaves, so neither argument is the LCA itself. A
+  // future on the path, forced before the other step started, joins this
+  // side's subtree into the other step's past: ordered.
+  auto Forces = [this](const DpstNode *Fut, const DpstNode *Step) {
+    const std::vector<uint32_t> *F = forced(Step);
     return F && std::binary_search(F->begin(), F->end(), Fut->futureId());
   };
-  const DpstNode *A = S1, *B = S2;
-  const DpstNode *AChild = nullptr, *BChild = nullptr;
-  const DpstNode *ANs = nullptr, *BNs = nullptr;
-  while (A != B) {
-    if (A->depth() >= B->depth()) {
-      // A future on the path, forced before the other step started, joins
-      // this side's subtree into the other step's past: ordered.
-      if (A->isFuture() && Forces(A, S2))
-        return false;
-      if (A->isNonScope())
-        ANs = A;
-      AChild = A;
-      A = A->parent();
-    } else {
-      if (B->isFuture() && Forces(B, S1))
-        return false;
-      if (B->isNonScope())
-        BNs = B;
-      BChild = B;
-      B = B->parent();
-    }
-    assert(A && B && "nodes from different trees");
+  const DpstNode *A = S1, *AChild = nullptr, *ANs = nullptr;
+  while (!isAncestorOrSelf(A, S2)) {
+    if (A->isFuture() && Forces(A, S2))
+      return false;
+    if (A->isNonScope())
+      ANs = A;
+    AChild = A;
+    A = A->parent();
+    assert(A && "nodes from different trees");
+  }
+  const DpstNode *B = S2, *BChild = nullptr, *BNs = nullptr;
+  while (B != A) {
+    if (B->isFuture() && Forces(B, S1))
+      return false;
+    if (B->isNonScope())
+      BNs = B;
+    BChild = B;
+    B = B->parent();
   }
   assert(AChild && BChild && ANs && BNs &&
          "steps must be strict descendants of their LCA");
   // Theorem 1: the pair may run in parallel iff the NS-LCA's non-scope
   // child toward the left (earlier) step is a task node (async or future).
-  const DpstNode *LeftNs =
-      AChild->indexInParent() < BChild->indexInParent() ? ANs : BNs;
+  // The two children are siblings, so their intervals are disjoint.
+  const DpstNode *LeftNs = AChild->pre() < BChild->pre() ? ANs : BNs;
   return LeftNs->isTaskNode();
 }
 
@@ -167,72 +206,57 @@ std::vector<DpstNode *> Dpst::nonScopeChildren(const DpstNode *N) const {
   std::vector<DpstNode *> Result;
   // Iterative DFS preserving left-to-right order: descend through scope
   // nodes, collect the first non-scope node on each path.
-  std::vector<const DpstNode *> Work(N->children().rbegin(),
-                                     N->children().rend());
-  while (!Work.empty()) {
-    const DpstNode *Cur = Work.back();
-    Work.pop_back();
-    if (Cur->isScope()) {
-      Work.insert(Work.end(), Cur->children().rbegin(),
-                  Cur->children().rend());
+  std::vector<std::pair<ChildRange::iterator, ChildRange::iterator>> Stack;
+  Stack.emplace_back(children(N).begin(), children(N).end());
+  while (!Stack.empty()) {
+    auto &[It, End] = Stack.back();
+    if (It == End) {
+      Stack.pop_back();
       continue;
     }
-    Result.push_back(const_cast<DpstNode *>(Cur));
+    DpstNode *Cur = *It;
+    ++It;
+    if (Cur->isScope())
+      Stack.emplace_back(children(Cur).begin(), children(Cur).end());
+    else
+      Result.push_back(Cur);
   }
   return Result;
 }
 
-DpstNode *Dpst::insertFinish(DpstNode *Parent, size_t Begin, size_t End,
+DpstNode *Dpst::insertFinish(DpstNode *First, DpstNode *Last,
                              const FinishStmt *Site) {
-  assert(Begin <= End && End < Parent->Children.size() &&
-         "finish insertion range out of bounds");
+  DpstNode *Parent = First->Parent;
+  assert(Parent && Last->Parent == Parent && First->pre() <= Last->pre() &&
+         "finish insertion needs a sibling range");
 
   CInserts->inc();
-  Nodes.emplace_back();
-  DpstNode *F = &Nodes.back();
-  F->Id = NextId++;
+  DpstNode *F = allocNode();
   F->Kind = DpstKind::Finish;
-  F->FinishS = Site;
+  F->Flags = DpstNode::InsertedFlag;
+  F->Aux = First->pre();
+  F->End = Last->End;
   F->Parent = Parent;
-  F->Depth = Parent->Depth + 1;
-  F->Owner = Parent->Children[Begin]->Owner;
-  F->OwnerLast = Parent->Children[End]->OwnerLast;
-
-  // Adopt the range.
-  F->Children.assign(Parent->Children.begin() + Begin,
-                     Parent->Children.begin() + End + 1);
-  for (size_t I = 0; I != F->Children.size(); ++I) {
-    DpstNode *C = F->Children[I];
+  F->Owner = First->owner();
+  F->Slot.Finish = Site;
+  F->Word.LastOwner = Last->ownerLast();
+  // Adopt the range; the next sibling is found before its predecessor
+  // moves under F.
+  uint32_t Limit = limitOf(Parent);
+  for (DpstNode *C = First; C;) {
+    DpstNode *Next = C == Last ? nullptr : childAt(Parent, C->End, Limit);
     C->Parent = F;
-    C->IndexInParent = static_cast<uint32_t>(I);
-    // The whole adopted subtree gets one level deeper.
-    std::vector<DpstNode *> Stack{C};
-    while (!Stack.empty()) {
-      DpstNode *X = Stack.back();
-      Stack.pop_back();
-      ++X->Depth;
-      Stack.insert(Stack.end(), X->Children.begin(), X->Children.end());
-    }
+    C = Next;
   }
-
-  auto &PC = Parent->Children;
-  PC.erase(PC.begin() + Begin, PC.begin() + End + 1);
-  PC.insert(PC.begin() + Begin, F);
-  for (size_t I = Begin; I != PC.size(); ++I)
-    PC[I]->IndexInParent = static_cast<uint32_t>(I);
   return F;
 }
 
 uint64_t Dpst::subtreeWork(const DpstNode *N) const {
+  // Every built node inside the interval is a descendant (inserted
+  // finishes carry no weight).
   uint64_t Total = 0;
-  std::vector<const DpstNode *> Stack{N};
-  while (!Stack.empty()) {
-    const DpstNode *X = Stack.back();
-    Stack.pop_back();
-    if (X->isStep())
-      Total += X->weight();
-    Stack.insert(Stack.end(), X->children().begin(), X->children().end());
-  }
+  for (uint32_t Pos = N->pre(), Limit = limitOf(N); Pos < Limit; ++Pos)
+    Total += node(Pos)->weight();
   return Total;
 }
 
@@ -246,35 +270,35 @@ struct CplResult {
   uint64_t Pending;
 };
 
-CplResult cplWalk(const DpstNode *N) {
+CplResult cplWalk(const Dpst &Tree, const DpstNode *N) {
   uint64_t Cur = 0;
   uint64_t Pending = 0;
-  for (const DpstNode *C : N->children()) {
+  for (const DpstNode *C : Tree.children(N)) {
     switch (C->kind()) {
     case DpstKind::Step:
       Cur += C->weight();
       break;
     case DpstKind::Scope: {
-      CplResult R = cplWalk(C);
+      CplResult R = cplWalk(Tree, C);
       Pending = std::max(Pending, Cur + R.Pending);
       Cur += R.SerialEnd;
       break;
     }
     case DpstKind::Async: {
-      CplResult R = cplWalk(C);
+      CplResult R = cplWalk(Tree, C);
       // The child task runs concurrently from the spawn point.
       Pending = std::max({Pending, Cur + R.SerialEnd, Cur + R.Pending});
       break;
     }
     case DpstKind::Future: {
-      CplResult R = cplWalk(C);
+      CplResult R = cplWalk(Tree, C);
       // A future runs concurrently like an async, but its implicit finish
       // folds internal pending work into its own completion time.
       Pending = std::max(Pending, Cur + std::max(R.SerialEnd, R.Pending));
       break;
     }
     case DpstKind::Finish: {
-      CplResult R = cplWalk(C);
+      CplResult R = cplWalk(Tree, C);
       // The parent resumes only after everything inside completes.
       Cur += std::max(R.SerialEnd, R.Pending);
       break;
@@ -289,13 +313,14 @@ CplResult cplWalk(const DpstNode *N) {
 } // namespace
 
 uint64_t Dpst::subtreeCpl(const DpstNode *N) const {
-  CplResult R = cplWalk(N);
+  CplResult R = cplWalk(*this, N);
   return std::max(R.SerialEnd, R.Pending);
 }
 
 std::string Dpst::dumpDot() const {
   std::string Out = "digraph sdpst {\n  node [shape=box];\n";
-  for (const DpstNode &N : Nodes) {
+  for (uint32_t Id = 0; Id != NextId; ++Id) {
+    const DpstNode &N = *node(Id);
     Out += strFormat("  n%u [label=\"%s\"];\n", N.id(), N.label().c_str());
     if (N.parent())
       Out += strFormat("  n%u -> n%u;\n", N.parent()->id(), N.id());
@@ -312,47 +337,45 @@ DpstBuilder::DpstBuilder(Dpst &D) : D(D), Cur(D.root()) {
   TaskStack.push_back(D.root());
   // Root slot: exit sets of root-level tasks land here (nothing ever
   // reads it — no code runs after the program's implicit join).
-  FinishAccum.push_back(nullptr);
+  FinishAccum.push_back(0);
 }
 
-DpstBuilder::ForcedSet DpstBuilder::unionForced(const ForcedSet &A,
-                                                const ForcedSet &B) {
-  if (!A || A->empty())
+uint32_t DpstBuilder::unionForced(uint32_t A, uint32_t B) {
+  if (!A || A == B)
     return B;
-  if (!B || B->empty())
+  if (!B)
     return A;
-  if (A == B)
-    return A;
-  auto Merged = std::make_shared<std::vector<uint32_t>>();
-  Merged->reserve(A->size() + B->size());
-  std::set_union(A->begin(), A->end(), B->begin(), B->end(),
-                 std::back_inserter(*Merged));
-  return Merged;
+  const std::vector<uint32_t> &SA = D.ForcedSets[A], &SB = D.ForcedSets[B];
+  std::vector<uint32_t> Merged;
+  Merged.reserve(SA.size() + SB.size());
+  std::set_union(SA.begin(), SA.end(), SB.begin(), SB.end(),
+                 std::back_inserter(Merged));
+  return D.internForced(std::move(Merged));
 }
 
-DpstBuilder::ForcedSet DpstBuilder::unionForcedWith(const ForcedSet &A,
-                                                    uint32_t Fid) const {
-  ForcedSet Base = A;
+uint32_t DpstBuilder::unionForcedWith(uint32_t A, uint32_t Fid) {
+  uint32_t Base = A;
   if (Fid < FutureById.size() && FutureById[Fid])
-    Base = unionForced(Base, FutureById[Fid]->Forced);
-  if (Base && std::binary_search(Base->begin(), Base->end(), Fid))
+    Base = unionForced(Base, FutureById[Fid]->Aux);
+  const std::vector<uint32_t> &S = D.ForcedSets[Base];
+  auto It = std::lower_bound(S.begin(), S.end(), Fid);
+  if (It != S.end() && *It == Fid)
     return Base;
-  auto Merged = std::make_shared<std::vector<uint32_t>>(
-      Base ? *Base : std::vector<uint32_t>());
-  Merged->insert(std::lower_bound(Merged->begin(), Merged->end(), Fid), Fid);
-  return Merged;
+  std::vector<uint32_t> Merged(S.begin(), It);
+  Merged.push_back(Fid);
+  Merged.insert(Merged.end(), It, S.end());
+  return D.internForced(std::move(Merged));
 }
 
 void DpstBuilder::onAsyncEnter(const AsyncStmt *S, const Stmt *Owner) {
   closeStep();
   DpstNode *N = D.createNode(DpstKind::Async, Cur);
   N->Owner = Owner;
-  N->OwnerLast = Owner;
-  N->AsyncS = S;
+  N->Slot.Async = S;
   // Null S happens only in synthetic event streams (bench/tests).
   if (S)
     if (const auto *B = dyn_cast<BlockStmt>(S->body()))
-      N->Container = B; // informational; the body block still gets a scope
+      N->Word.Body = B; // informational; the body block still gets a scope
   Cur = N;
   TaskStack.push_back(N);
   // The child context inherits the spawner's completed-future knowledge;
@@ -364,7 +387,7 @@ void DpstBuilder::onAsyncEnter(const AsyncStmt *S, const Stmt *Owner) {
 void DpstBuilder::onAsyncExit(const AsyncStmt *) {
   closeStep();
   TaskStack.pop_back();
-  Cur = Cur->Parent;
+  closeCur();
   // The task's final knowledge becomes visible after its join point — the
   // immediately enclosing finish (or future's implicit finish).
   FinishAccum.back() = unionForced(FinishAccum.back(), CurForced);
@@ -376,19 +399,18 @@ void DpstBuilder::onFinishEnter(const FinishStmt *S, const Stmt *Owner) {
   closeStep();
   DpstNode *N = D.createNode(DpstKind::Finish, Cur);
   N->Owner = Owner;
-  N->OwnerLast = Owner;
-  N->FinishS = S;
+  N->Slot.Finish = S;
   if (S)
     if (const auto *B = dyn_cast<BlockStmt>(S->body()))
-      N->Container = B;
+      N->Word.Body = B;
   Cur = N;
   // Exit sets of tasks joining at this finish accumulate here.
-  FinishAccum.push_back(nullptr);
+  FinishAccum.push_back(0);
 }
 
 void DpstBuilder::onFinishExit(const FinishStmt *) {
   closeStep();
-  Cur = Cur->Parent;
+  closeCur();
   // Everything joined tasks forced is now in this context's past.
   CurForced = unionForced(CurForced, FinishAccum.back());
   FinishAccum.pop_back();
@@ -399,16 +421,16 @@ void DpstBuilder::onFutureEnter(const FutureStmt *S, const Stmt *Owner,
   closeStep();
   DpstNode *N = D.createNode(DpstKind::Future, Cur);
   N->Owner = Owner;
-  N->OwnerLast = Owner;
-  N->FutureS = S;
-  N->FutureId = Fid;
+  N->Slot.Future = S;
+  N->Word.FutureId = Fid;
+  D.HasIsolatedOrFuture = true;
   if (FutureById.size() <= Fid)
     FutureById.resize(Fid + 1, nullptr);
   FutureById[Fid] = N;
   Cur = N;
   TaskStack.push_back(N);
   SavedForced.push_back(CurForced);
-  FinishAccum.push_back(nullptr); // the future's implicit finish
+  FinishAccum.push_back(0); // the future's implicit finish
 }
 
 void DpstBuilder::onFutureExit(const FutureStmt *) {
@@ -417,10 +439,10 @@ void DpstBuilder::onFutureExit(const FutureStmt *) {
   // The future's exit set (its own forces plus those of tasks joined by
   // the implicit finish) is stamped on the node so a later force can
   // propagate it transitively.
-  ForcedSet ExitSet = unionForced(CurForced, FinishAccum.back());
+  uint32_t ExitSet = unionForced(CurForced, FinishAccum.back());
   FinishAccum.pop_back();
-  Cur->Forced = ExitSet;
-  Cur = Cur->Parent;
+  Cur->Aux = ExitSet;
+  closeCur();
   // Like an async, the future also joins at its enclosing finish.
   FinishAccum.back() = unionForced(FinishAccum.back(), ExitSet);
   CurForced = SavedForced.back();
@@ -450,33 +472,35 @@ void DpstBuilder::onScopeEnter(ScopeKind K, const Stmt *Owner,
   closeStep();
   DpstNode *N = D.createNode(DpstKind::Scope, Cur);
   N->Owner = Owner;
-  N->OwnerLast = Owner;
-  N->SKind = K;
-  N->Container = Body;
-  N->Callee = Callee;
+  N->SKind = static_cast<uint8_t>(K);
+  N->Slot.Block = Body;
+  N->Word.Callee = Callee;
   Cur = N;
 }
 
 void DpstBuilder::onScopeExit() {
   closeStep();
-  Cur = Cur->Parent;
+  closeCur();
 }
 
 void DpstBuilder::onStepPoint(const Stmt *Owner) {
   PendingOwner = Owner;
   if (CurStep)
-    CurStep->OwnerLast = Owner;
+    CurStep->Slot.LastOwner = Owner;
 }
 
-void DpstBuilder::onWork(uint64_t Units) { currentStep()->Weight += Units; }
+void DpstBuilder::onWork(uint64_t Units) { currentStep()->Word.Weight += Units; }
 
 DpstNode *DpstBuilder::currentStep() {
   if (!CurStep) {
     CurStep = D.createNode(DpstKind::Step, Cur);
     CurStep->Owner = PendingOwner;
-    CurStep->OwnerLast = PendingOwner;
-    CurStep->Isolated = InIsolated;
-    CurStep->Forced = CurForced;
+    CurStep->Slot.LastOwner = PendingOwner;
+    CurStep->Aux = CurForced;
+    if (InIsolated) {
+      CurStep->Flags = DpstNode::IsolatedFlag;
+      D.HasIsolatedOrFuture = true;
+    }
   }
   return CurStep;
 }

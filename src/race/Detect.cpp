@@ -32,6 +32,8 @@ void publishDetection(const Detection &D) {
   obs::gauge("detect.races_raw").set(static_cast<int64_t>(D.Report.RawCount));
   obs::gauge("detect.race_pairs")
       .set(static_cast<int64_t>(D.Report.Pairs.size()));
+  obs::gauge("dpst.bytes_used")
+      .set(static_cast<int64_t>(D.Tree->bytesUsed()));
   obs::gauge("shadow.bytes_used")
       .set(static_cast<int64_t>(D.ShadowBytesUsed));
   obs::gauge("shadow.bytes_reserved")
@@ -204,15 +206,7 @@ bool tdr::srwConsistentWith(const RaceReport &Srw, const Detection &Mrw) {
   // Only an empty SRW report against a racy MRW one is left; accept it
   // when the execution ran an isolated step or a future (see the
   // declaration).
-  std::vector<const DpstNode *> Work = {Mrw.Tree->root()};
-  while (!Work.empty()) {
-    const DpstNode *N = Work.back();
-    Work.pop_back();
-    if (N->isIsolated() || N->isFuture())
-      return true;
-    Work.insert(Work.end(), N->children().begin(), N->children().end());
-  }
-  return false;
+  return Mrw.Tree->hasIsolatedOrFuture();
 }
 
 std::string tdr::renderRaceReportKey(const RaceReport &R) {

@@ -164,12 +164,20 @@ std::vector<DepGroup> tdr::buildDepGroups(const Dpst &Tree,
   }
 
   CGroups.inc(Groups.size());
-  // Deepest NS-LCA first; ties by id for determinism.
-  std::sort(Groups.begin(), Groups.end(),
-            [](const DepGroup &A, const DepGroup &B) {
-              if (A.Lca->depth() != B.Lca->depth())
-                return A.Lca->depth() > B.Lca->depth();
-              return A.Lca->id() < B.Lca->id();
-            });
-  return Groups;
+  // Deepest NS-LCA first; ties by id for determinism. Depth is a walk to
+  // the root, so it is taken once per group, not per comparison.
+  std::vector<std::pair<uint32_t, size_t>> Order; // (depth, group index)
+  Order.reserve(Groups.size());
+  for (size_t I = 0; I != Groups.size(); ++I)
+    Order.push_back({Groups[I].Lca->depth(), I});
+  std::sort(Order.begin(), Order.end(), [&Groups](auto A, auto B) {
+    if (A.first != B.first)
+      return A.first > B.first;
+    return Groups[A.second].Lca->id() < Groups[B.second].Lca->id();
+  });
+  std::vector<DepGroup> Sorted;
+  Sorted.reserve(Groups.size());
+  for (auto [Depth, I] : Order)
+    Sorted.push_back(std::move(Groups[I]));
+  return Sorted;
 }

@@ -105,7 +105,7 @@ void StaticPlacer::indexTree() {
       StmtInstances[N->finishStmt()].push_back(N);
     if (N->isFuture() && N->futureStmt())
       StmtInstances[N->futureStmt()].push_back(N);
-    for (DpstNode *C : N->children())
+    for (DpstNode *C : Tree.children(N))
       Stack.push_back(C);
   }
 }
@@ -198,25 +198,17 @@ std::vector<StaticPlacer::InsertionPoint>
 StaticPlacer::findInsertionPoints(const DpstNode *L, DpstNode *First,
                                   DpstNode *Last, const DpstNode *LeftN,
                                   const DpstNode *RightN) {
-  DpstNode *P;
-  size_t B, E;
-  if (First == Last) {
-    P = First->parent();
-    B = E = First->indexInParent();
-  } else {
-    P = const_cast<DpstNode *>(Tree.lca(First, Last));
-    const DpstNode *CB = Tree.childToward(P, First);
-    const DpstNode *CE = Tree.childToward(P, Last);
-    assert(CB && CE && "range endpoints must be strict descendants");
-    B = CB->indexInParent();
-    E = CE->indexInParent();
-  }
+  DpstNode *P = First == Last ? First->parent()
+                              : const_cast<DpstNode *>(Tree.lca(First, Last));
+  const DpstNode *CB = First == Last ? First : Tree.childToward(P, First);
+  const DpstNode *CE = First == Last ? Last : Tree.childToward(P, Last);
+  assert(CB && CE && "range endpoints must be strict descendants");
 
   // The finish must separate the range from its DP neighbors: reject when
   // a neighbor lives inside a boundary subtree (the Fig. 5 condition).
-  if (LeftN && Tree.isAncestorOrSelf(P->children()[B], LeftN))
+  if (LeftN && Tree.isAncestorOrSelf(CB, LeftN))
     return {};
-  if (RightN && Tree.isAncestorOrSelf(P->children()[E], RightN))
+  if (RightN && Tree.isAncestorOrSelf(CE, RightN))
     return {};
 
   // Bottom-up (paper §5.2): collect every position up to the highest node
@@ -224,11 +216,11 @@ StaticPlacer::findInsertionPoints(const DpstNode *L, DpstNode *First,
   // dynamically equivalent, but the AST mapping may only be expressible at
   // some of the levels, so the caller tries them highest first.
   std::vector<InsertionPoint> Points;
-  Points.push_back(InsertionPoint{P, B, E});
-  while (P != L && B == 0 && E + 1 == P->children().size()) {
-    B = E = P->indexInParent();
+  Points.push_back(InsertionPoint{P, CB, CE});
+  while (P != L && Tree.spansAllChildren(CB, CE)) {
+    CB = CE = P;
     P = P->parent();
-    Points.push_back(InsertionPoint{P, B, E});
+    Points.push_back(InsertionPoint{P, CB, CE});
   }
   return Points;
 }
@@ -244,8 +236,8 @@ StaticPlacer::mapBlockEdit(const DepGroup &G, uint32_t I, uint32_t K,
   const BlockStmt *CB = P->container();
   assert(CB && "block edits need a container");
 
-  const Stmt *FirstStmt = P->children()[IP.Begin]->owner();
-  const Stmt *LastStmt = P->children()[IP.End]->ownerLast();
+  const Stmt *FirstStmt = IP.First->owner();
+  const Stmt *LastStmt = IP.Last->ownerLast();
   if (!FirstStmt || !LastStmt)
     return std::nullopt;
   size_t IF = findStmtIndex(CB, FirstStmt);
@@ -259,10 +251,15 @@ StaticPlacer::mapBlockEdit(const DepGroup &G, uint32_t I, uint32_t K,
     addOwners(CB->stmts()[S], OwnerSet);
 
   // Classify P's children against the wrap and find the covered run.
+  const std::vector<DpstNode *> Kids = Tree.childList(P);
+  size_t Begin = Npos, End = Npos;
   size_t CoverBegin = Npos, CoverEnd = Npos;
-  const auto &Kids = P->children();
   for (size_t Idx = 0; Idx != Kids.size(); ++Idx) {
     const DpstNode *C = Kids[Idx];
+    if (C == IP.First)
+      Begin = Idx;
+    if (C == IP.Last)
+      End = Idx;
     bool In1 = C->owner() && OwnerSet.count(C->owner());
     bool In2 = C->ownerLast() && OwnerSet.count(C->ownerLast());
     if (In1 != In2) {
@@ -281,7 +278,7 @@ StaticPlacer::mapBlockEdit(const DepGroup &G, uint32_t I, uint32_t K,
       return std::nullopt; // covered children must be consecutive
     CoverEnd = Idx;
   }
-  if (CoverBegin == Npos || CoverBegin > IP.Begin || CoverEnd < IP.End)
+  if (CoverBegin == Npos || CoverBegin > Begin || CoverEnd < End)
     return std::nullopt;
 
   // The wrap's dynamic extent may exceed [Begin, End] (whole statements
@@ -299,9 +296,9 @@ StaticPlacer::mapBlockEdit(const DepGroup &G, uint32_t I, uint32_t K,
           return true;
     return false;
   };
-  if (CoverBegin < IP.Begin && RangeContains(CoverBegin, IP.Begin - 1))
+  if (CoverBegin < Begin && RangeContains(CoverBegin, Begin - 1))
     return std::nullopt;
-  if (CoverEnd > IP.End && RangeContains(IP.End + 1, CoverEnd))
+  if (CoverEnd > End && RangeContains(End + 1, CoverEnd))
     return std::nullopt;
 
   if (declEscapes(CB, IF, IL))
@@ -359,8 +356,8 @@ StaticPlacer::mapRange(const DepGroup &G, uint32_t I, uint32_t K) {
     if (P->isScope() && P->container()) {
       if (auto E = mapBlockEdit(G, I, K, IP))
         return E;
-    } else if ((P->isAsync() || P->isFinish()) && IP.Begin == 0 &&
-               IP.End + 1 == P->children().size()) {
+    } else if ((P->isAsync() || P->isFinish()) &&
+               Tree.spansAllChildren(IP.First, IP.Last)) {
       // Wrap the whole body of the async/finish statement.
       const Stmt *OwnerStmt =
           P->isAsync() ? static_cast<const Stmt *>(P->asyncStmt())
@@ -472,7 +469,7 @@ unsigned StaticPlacer::replicate(const Edit &E, FinishStmt *NewFinish) {
     if (It == BlockInstances.end())
       return 0;
     for (DpstNode *Q : It->second) {
-      const auto &Kids = Q->children();
+      const std::vector<DpstNode *> Kids = Tree.childList(Q);
       size_t Lo = Npos, Hi = Npos;
       for (size_t Idx = 0; Idx != Kids.size(); ++Idx) {
         const DpstNode *C = Kids[Idx];
@@ -486,7 +483,7 @@ unsigned StaticPlacer::replicate(const Edit &E, FinishStmt *NewFinish) {
       }
       if (Lo == Npos)
         continue;
-      DpstNode *F = Tree.insertFinish(Q, Lo, Hi, NewFinish);
+      DpstNode *F = Tree.insertFinish(Kids[Lo], Kids[Hi], NewFinish);
       StmtInstances[NewFinish].push_back(F);
       ++Count;
     }
@@ -502,10 +499,10 @@ unsigned StaticPlacer::replicate(const Edit &E, FinishStmt *NewFinish) {
     if (It == StmtInstances.end())
       return 0;
     for (DpstNode *X : It->second) {
-      if (X->children().empty())
+      std::vector<DpstNode *> Kids = Tree.childList(X);
+      if (Kids.empty())
         continue;
-      DpstNode *F =
-          Tree.insertFinish(X, 0, X->children().size() - 1, NewFinish);
+      DpstNode *F = Tree.insertFinish(Kids.front(), Kids.back(), NewFinish);
       StmtInstances[NewFinish].push_back(F);
       ++Count;
     }
@@ -518,8 +515,7 @@ unsigned StaticPlacer::replicate(const Edit &E, FinishStmt *NewFinish) {
   if (It == StmtInstances.end())
     return 0;
   for (DpstNode *X : It->second) {
-    DpstNode *F = Tree.insertFinish(X->parent(), X->indexInParent(),
-                                    X->indexInParent(), NewFinish);
+    DpstNode *F = Tree.insertFinish(X, X, NewFinish);
     StmtInstances[NewFinish].push_back(F);
     ++Count;
   }

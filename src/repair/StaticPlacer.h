@@ -121,9 +121,10 @@ public:
   const std::string &lastRejectReason() const { return RejectReason; }
 
 private:
+  /// A finish position: the children First..Last of Parent.
   struct InsertionPoint {
     DpstNode *Parent = nullptr;
-    size_t Begin = 0, End = 0;
+    const DpstNode *First = nullptr, *Last = nullptr;
   };
 
   /// Statement-level description of the edit.

@@ -21,7 +21,7 @@ namespace {
 /// completion enables the next step of the current sequential thread.
 class GraphBuilder {
 public:
-  explicit GraphBuilder(CompGraph &G) : G(G) {}
+  GraphBuilder(const Dpst &Tree, CompGraph &G) : Tree(Tree), G(G) {}
 
   struct WalkResult {
     std::vector<uint32_t> Exits;   ///< preds for the continuation
@@ -30,7 +30,7 @@ public:
 
   WalkResult walk(const DpstNode *N, std::vector<uint32_t> Preds) {
     std::vector<uint32_t> Pending;
-    for (const DpstNode *C : N->children()) {
+    for (const DpstNode *C : Tree.children(N)) {
       switch (C->kind()) {
       case DpstKind::Step: {
         uint32_t Id = addNode(C->weight());
@@ -89,15 +89,15 @@ private:
     V.erase(std::unique(V.begin(), V.end()), V.end());
   }
 
+  const Dpst &Tree;
   CompGraph &G;
 };
 
 } // namespace
 
 CompGraph tdr::buildCompGraph(const Dpst &Tree, const DpstNode *N) {
-  (void)Tree;
   CompGraph G;
-  GraphBuilder B(G);
+  GraphBuilder B(Tree, G);
   B.walk(N, {});
   return G;
 }

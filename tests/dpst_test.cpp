@@ -4,14 +4,20 @@
 //
 // Structure checks on the paper's Fibonacci example (Figure 9), LCA /
 // NS-LCA queries (Definitions 3-5), the Theorem-1 parallelism criterion,
-// and finish-node insertion (Figure 14).
+// finish-node insertion (Figure 14), the compact layout's interval
+// queries against a naive parent-pointer reference, and its byte budget.
 //
 //===----------------------------------------------------------------------===//
 
+#include "RandomProgram.h"
 #include "TestUtil.h"
 
 #include "dpst/Dpst.h"
 #include "race/Detect.h"
+#include "suite/Benchmarks.h"
+#include "support/Rng.h"
+
+#include <algorithm>
 
 using namespace tdr;
 using namespace tdr::test;
@@ -40,22 +46,23 @@ BuiltTree buildTree(const std::string &Src, std::vector<int64_t> Args = {}) {
 }
 
 /// Collects all step leaves in left-to-right order.
-void collectSteps(const DpstNode *N, std::vector<const DpstNode *> &Out) {
+void collectSteps(const Dpst &T, const DpstNode *N,
+                  std::vector<const DpstNode *> &Out) {
   if (N->isStep()) {
     Out.push_back(N);
     return;
   }
-  for (const DpstNode *C : N->children())
-    collectSteps(C, Out);
+  for (const DpstNode *C : T.children(N))
+    collectSteps(T, C, Out);
 }
 
 /// Collects all nodes of a kind.
-void collectKind(const DpstNode *N, DpstKind K,
+void collectKind(const Dpst &T, const DpstNode *N, DpstKind K,
                  std::vector<const DpstNode *> &Out) {
   if (N->kind() == K)
     Out.push_back(N);
-  for (const DpstNode *C : N->children())
-    collectKind(C, K, Out);
+  for (const DpstNode *C : T.children(N))
+    collectKind(T, C, K, Out);
 }
 
 TEST(Dpst, SequentialProgramIsOneStepUnderMainScope) {
@@ -72,7 +79,7 @@ func main() {
   const DpstNode *Root = B.Tree->root();
   ASSERT_TRUE(Root->isRoot());
   std::vector<const DpstNode *> Steps;
-  collectSteps(Root, Steps);
+  collectSteps(*B.Tree, Root, Steps);
   ASSERT_EQ(Steps.size(), 2u); // global-init step + main body step
   EXPECT_EQ(Steps[1]->parent()->kind(), DpstKind::Scope);
   EXPECT_EQ(Steps[1]->parent()->scopeKind(), ScopeKind::Call);
@@ -101,12 +108,12 @@ func main() {
 }
 )");
   std::vector<const DpstNode *> Asyncs;
-  collectKind(B.Tree->root(), DpstKind::Async, Asyncs);
+  collectKind(*B.Tree, B.Tree->root(), DpstKind::Async, Asyncs);
   // fib(3): asyncs = 1 (main) + 2 (n=3) + 2 (n=2) = 5.
   EXPECT_EQ(Asyncs.size(), 5u);
 
   std::vector<const DpstNode *> Scopes;
-  collectKind(B.Tree->root(), DpstKind::Scope, Scopes);
+  collectKind(*B.Tree, B.Tree->root(), DpstKind::Scope, Scopes);
   // Call scopes: main, fib(3), fib(2), fib(1) x2, fib(0); block scopes for
   // the taken if-branches (n<2 three times).
   unsigned CallScopes = 0, BlockScopes = 0;
@@ -130,16 +137,16 @@ func main() {
 }
 )");
   std::vector<const DpstNode *> Asyncs;
-  collectKind(B.Tree->root(), DpstKind::Async, Asyncs);
+  collectKind(*B.Tree, B.Tree->root(), DpstKind::Async, Asyncs);
   ASSERT_EQ(Asyncs.size(), 1u);
   std::vector<const DpstNode *> Steps;
-  collectSteps(Asyncs[0], Steps);
+  collectSteps(*B.Tree, Asyncs[0], Steps);
   ASSERT_EQ(Steps.size(), 1u);
   const DpstNode *WriteStep = Steps[0];
 
   // The print step is the last step overall.
   std::vector<const DpstNode *> AllSteps;
-  collectSteps(B.Tree->root(), AllSteps);
+  collectSteps(*B.Tree, B.Tree->root(), AllSteps);
   const DpstNode *ReadStep = AllSteps.back();
 
   const DpstNode *L = B.Tree->lca(WriteStep, ReadStep);
@@ -169,16 +176,16 @@ func main() {
 }
 )");
   std::vector<const DpstNode *> Steps;
-  collectSteps(B.Tree->root(), Steps);
+  collectSteps(*B.Tree, B.Tree->root(), Steps);
   // Locate the step writing each cell by weight order; simpler: use the
   // async steps directly.
   std::vector<const DpstNode *> Asyncs;
-  collectKind(B.Tree->root(), DpstKind::Async, Asyncs);
+  collectKind(*B.Tree, B.Tree->root(), DpstKind::Async, Asyncs);
   ASSERT_EQ(Asyncs.size(), 3u);
   std::vector<const DpstNode *> S1, S2, S4;
-  collectSteps(Asyncs[0], S1);
-  collectSteps(Asyncs[1], S2);
-  collectSteps(Asyncs[2], S4);
+  collectSteps(*B.Tree, Asyncs[0], S1);
+  collectSteps(*B.Tree, Asyncs[1], S2);
+  collectSteps(*B.Tree, Asyncs[2], S4);
 
   // Siblings in one finish are parallel.
   EXPECT_TRUE(B.Tree->mayHappenInParallel(S1[0], S2[0]));
@@ -208,25 +215,24 @@ func main() {
 }
 )");
   std::vector<const DpstNode *> Asyncs;
-  collectKind(B.Tree->root(), DpstKind::Async, Asyncs);
+  collectKind(*B.Tree, B.Tree->root(), DpstKind::Async, Asyncs);
   ASSERT_EQ(Asyncs.size(), 2u);
   std::vector<const DpstNode *> WX, WY, All;
-  collectSteps(Asyncs[0], WX);
-  collectSteps(Asyncs[1], WY);
-  collectSteps(B.Tree->root(), All);
+  collectSteps(*B.Tree, Asyncs[0], WX);
+  collectSteps(*B.Tree, Asyncs[1], WY);
+  collectSteps(*B.Tree, B.Tree->root(), All);
   const DpstNode *ReadStep = All.back();
 
   ASSERT_TRUE(B.Tree->mayHappenInParallel(WX[0], ReadStep));
   ASSERT_TRUE(B.Tree->mayHappenInParallel(WY[0], ReadStep));
 
   // Insert a finish adopting both asyncs under their common parent.
-  DpstNode *Parent = const_cast<DpstNode *>(Asyncs[0]->parent());
-  ASSERT_EQ(Parent, Asyncs[1]->parent());
-  size_t B0 = Asyncs[0]->indexInParent();
-  size_t E0 = Asyncs[1]->indexInParent();
-  DpstNode *F = B.Tree->insertFinish(Parent, B0, E0, nullptr);
+  ASSERT_EQ(Asyncs[0]->parent(), Asyncs[1]->parent());
+  DpstNode *F = B.Tree->insertFinish(const_cast<DpstNode *>(Asyncs[0]),
+                                     const_cast<DpstNode *>(Asyncs[1]),
+                                     nullptr);
   ASSERT_TRUE(F->isFinish());
-  EXPECT_EQ(F->children().size(), 2u);
+  EXPECT_EQ(B.Tree->childList(F).size(), 2u);
   EXPECT_EQ(Asyncs[0]->parent(), F);
   EXPECT_EQ(Asyncs[0]->depth(), F->depth() + 1);
 
@@ -297,16 +303,16 @@ func main() {
   // The main call scope's children: step(X=1), async, step(X=3); the
   // steps' owners must be statements of main's body block.
   std::vector<const DpstNode *> Scopes;
-  collectKind(B.Tree->root(), DpstKind::Scope, Scopes);
+  collectKind(*B.Tree, B.Tree->root(), DpstKind::Scope, Scopes);
   const DpstNode *MainScope = nullptr;
   for (const DpstNode *S : Scopes)
     if (S->scopeKind() == ScopeKind::Call)
       MainScope = S;
   ASSERT_NE(MainScope, nullptr);
-  ASSERT_EQ(MainScope->children().size(), 3u);
+  ASSERT_EQ(B.Tree->childList(MainScope).size(), 3u);
   const BlockStmt *Body = MainScope->container();
   ASSERT_NE(Body, nullptr);
-  for (const DpstNode *C : MainScope->children()) {
+  for (const DpstNode *C : B.Tree->children(MainScope)) {
     ASSERT_NE(C->owner(), nullptr);
     bool Found = false;
     for (const Stmt *S : Body->stmts())
@@ -387,6 +393,287 @@ TEST(Dpst, DeepChainQueriesStayCorrect) {
   EXPECT_EQ(DeepAsync->kind(), DpstKind::Async);
   EXPECT_EQ(Tree.nonScopeChildToward(DeepAsync, SC), SC);
   EXPECT_TRUE(Tree.mayHappenInParallel(SC, SD));
+}
+
+//===----------------------------------------------------------------------===//
+// Interval queries vs a naive parent-pointer reference
+//===----------------------------------------------------------------------===//
+
+/// The reference: a plain pointer tree mirroring one Dpst, with explicit
+/// child vectors. Built from parent links (siblings in creation order)
+/// and edited by its own naive finish insertion, so every query below is
+/// answered without the intervals.
+struct RefTree {
+  std::vector<int> Parent;
+  std::vector<std::vector<int>> Kids;
+
+  explicit RefTree(const Dpst &T) {
+    size_t N = T.numNodes();
+    Parent.assign(N, -1);
+    Kids.resize(N);
+    for (uint32_t I = 0; I != N; ++I)
+      if (const DpstNode *P = T.node(I)->parent()) {
+        Parent[I] = static_cast<int>(P->id());
+        Kids[P->id()].push_back(static_cast<int>(I));
+      }
+  }
+
+  void insertFinish(int P, size_t Begin, size_t End, int F) {
+    Parent.resize(std::max<size_t>(Parent.size(), F + 1), -1);
+    Kids.resize(Parent.size());
+    std::vector<int> &PK = Kids[P];
+    Kids[F].assign(PK.begin() + Begin, PK.begin() + End + 1);
+    for (int C : Kids[F])
+      Parent[C] = F;
+    PK.erase(PK.begin() + Begin, PK.begin() + End + 1);
+    PK.insert(PK.begin() + Begin, F);
+    Parent[F] = P;
+  }
+
+  int depth(int X) const {
+    int D = 0;
+    for (; Parent[X] >= 0; X = Parent[X])
+      ++D;
+    return D;
+  }
+  bool isAncestorOrSelf(int A, int X) const {
+    for (; X >= 0; X = Parent[X])
+      if (X == A)
+        return true;
+    return false;
+  }
+  int lca(int A, int B) const {
+    int DA = depth(A), DB = depth(B);
+    for (; DA > DB; --DA)
+      A = Parent[A];
+    for (; DB > DA; --DB)
+      B = Parent[B];
+    while (A != B) {
+      A = Parent[A];
+      B = Parent[B];
+    }
+    return A;
+  }
+  int childToward(int Anc, int X) const {
+    if (X == Anc || !isAncestorOrSelf(Anc, X))
+      return -1;
+    while (Parent[X] != Anc)
+      X = Parent[X];
+    return X;
+  }
+  int indexInParent(int X) const {
+    const std::vector<int> &PK = Kids[Parent[X]];
+    return static_cast<int>(std::find(PK.begin(), PK.end(), X) - PK.begin());
+  }
+  bool isLeftOf(int A, int B) const {
+    if (A == B)
+      return false;
+    int L = lca(A, B);
+    if (L == A)
+      return true;
+    if (L == B)
+      return false;
+    return indexInParent(childToward(L, A)) < indexInParent(childToward(L, B));
+  }
+};
+
+/// Checks the interval answers of \p T against \p R on sampled pairs.
+void checkAgainstReference(const Dpst &T, const RefTree &R, Rng &G,
+                           const std::string &Ctx) {
+  size_t N = T.numNodes();
+  ASSERT_EQ(R.Parent.size(), N) << Ctx;
+  auto Id = [](const DpstNode *X) {
+    return X ? static_cast<int>(X->id()) : -1;
+  };
+  // children() is the exact inverse of parent().
+  size_t Listed = 0;
+  for (uint32_t I = 0; I != N; ++I) {
+    const DpstNode *X = T.node(I);
+    ASSERT_EQ(X->id(), I) << Ctx;
+    ASSERT_EQ(Id(X->parent()), R.Parent[I]) << Ctx << " node " << I;
+    std::vector<int> Kids;
+    for (const DpstNode *C : T.children(X))
+      Kids.push_back(Id(C));
+    ASSERT_EQ(Kids, R.Kids[I]) << Ctx << " children of " << I;
+    Listed += Kids.size();
+    EXPECT_EQ(X->depth(), static_cast<uint32_t>(R.depth(I))) << Ctx;
+  }
+  EXPECT_EQ(Listed, N - 1) << Ctx;
+
+  std::vector<const DpstNode *> Steps;
+  for (uint32_t I = 0; I != N; ++I)
+    if (T.node(I)->isStep())
+      Steps.push_back(T.node(I));
+
+  auto NonScopeChildToward = [&](int Anc, int X) {
+    if (X == Anc || !R.isAncestorOrSelf(Anc, X))
+      return -1;
+    int Answer = -1;
+    for (; X != Anc; X = R.Parent[X])
+      if (T.node(X)->isNonScope())
+        Answer = X;
+    return Answer;
+  };
+  auto NsLca = [&](int A, int B) {
+    int L = R.lca(A, B);
+    while (T.node(L)->isScope())
+      L = R.Parent[L];
+    return L;
+  };
+
+  for (int Round = 0; Round != 300; ++Round) {
+    const DpstNode *A = T.node(static_cast<uint32_t>(G.nextBelow(N)));
+    const DpstNode *B = T.node(static_cast<uint32_t>(G.nextBelow(N)));
+    int IA = Id(A), IB = Id(B);
+    EXPECT_EQ(T.isAncestorOrSelf(A, B), R.isAncestorOrSelf(IA, IB)) << Ctx;
+    EXPECT_EQ(Id(T.lca(A, B)), R.lca(IA, IB)) << Ctx;
+    EXPECT_EQ(Id(T.nsLca(A, B)), NsLca(IA, IB)) << Ctx;
+    EXPECT_EQ(T.isLeftOf(A, B), R.isLeftOf(IA, IB)) << Ctx;
+    EXPECT_EQ(Id(T.childToward(A, B)), R.childToward(IA, IB)) << Ctx;
+    EXPECT_EQ(Id(T.nonScopeChildToward(A, B)), NonScopeChildToward(IA, IB))
+        << Ctx;
+    // The same queries on a step and one of its ancestors.
+    const DpstNode *S = Steps[G.nextBelow(Steps.size())];
+    const DpstNode *Up = S;
+    for (uint64_t K = G.nextBelow(8); K && Up->parent(); --K)
+      Up = Up->parent();
+    EXPECT_TRUE(T.isAncestorOrSelf(Up, S)) << Ctx;
+    EXPECT_EQ(Id(T.nonScopeChildToward(Up, S)),
+              NonScopeChildToward(Id(Up), Id(S)))
+        << Ctx;
+  }
+
+  if (Steps.size() < 2)
+    return;
+  for (int Round = 0; Round != 300; ++Round) {
+    const DpstNode *S1 = Steps[G.nextBelow(Steps.size())];
+    const DpstNode *S2 = Steps[G.nextBelow(Steps.size())];
+    if (S1 == S2)
+      continue;
+    // Theorem 1 on the reference: the non-scope child of the NS-LCA
+    // toward the left step is a task node, and no future on either path
+    // below the LCA was forced before the other step.
+    int I1 = Id(S1), I2 = Id(S2);
+    int Left = R.isLeftOf(I1, I2) ? I1 : I2;
+    bool Expected =
+        T.node(NonScopeChildToward(NsLca(I1, I2), Left))->isTaskNode();
+    int L = R.lca(I1, I2);
+    auto Forced = [&](int From, const DpstNode *Other) {
+      const std::vector<uint32_t> *F = T.forced(Other);
+      for (int X = From; X != L; X = R.Parent[X])
+        if (T.node(X)->isFuture() && F &&
+            std::binary_search(F->begin(), F->end(),
+                               T.node(X)->futureId()))
+          return true;
+      return false;
+    };
+    if (Forced(I1, S2) || Forced(I2, S1))
+      Expected = false;
+    EXPECT_EQ(T.mayHappenInParallel(S1, S2), Expected)
+        << Ctx << " steps " << I1 << ", " << I2;
+  }
+}
+
+/// A builder that also asks the parallelism query while the tree is still
+/// open (as detectors do) and keeps the answers for a later recheck.
+class ProbingBuilder : public DpstBuilder {
+public:
+  ProbingBuilder(Dpst &D, uint64_t Seed) : DpstBuilder(D), G(Seed) {}
+
+  void onWork(uint64_t Units) override {
+    DpstBuilder::onWork(Units);
+    const DpstNode *Cur = currentStep();
+    if (Steps.empty() || Steps.back() != Cur)
+      Steps.push_back(Cur);
+    if (Steps.size() < 2 || G.nextBelow(4))
+      return;
+    const DpstNode *Earlier = Steps[G.nextBelow(Steps.size() - 1)];
+    Probes.push_back({Earlier, Cur, tree().mayHappenInParallel(Earlier, Cur),
+                      tree().lca(Earlier, Cur)});
+  }
+
+  struct Probe {
+    const DpstNode *S1, *S2;
+    bool Mhp;
+    const DpstNode *Lca;
+  };
+  std::vector<const DpstNode *> Steps;
+  std::vector<Probe> Probes;
+
+private:
+  Rng G;
+};
+
+TEST(DpstLayout, IntervalQueriesMatchParentPointerReference) {
+  unsigned Checked = 0;
+  for (int Profile = 0; Profile != 2; ++Profile)
+    for (uint64_t Seed = 1; Seed <= 30; ++Seed) {
+      test::RandomProgramGen Gen(Seed);
+      if (Profile == 1)
+        Gen.enableConstructs();
+      std::string Src = Gen.generate();
+      ParsedProgram P = parseAndCheck(Src);
+      ASSERT_TRUE(P.ok()) << P.errors();
+      Dpst Tree;
+      ProbingBuilder Builder(Tree, Seed);
+      ExecOptions Opts;
+      Opts.Monitor = &Builder;
+      if (!runProgram(*P.Prog, Opts).Ok)
+        continue;
+      std::string Ctx = "profile " + std::to_string(Profile) + " seed " +
+                        std::to_string(Seed);
+      // Answers given on the open tree hold on the closed one.
+      for (const ProbingBuilder::Probe &Pr : Builder.Probes) {
+        EXPECT_EQ(Tree.mayHappenInParallel(Pr.S1, Pr.S2), Pr.Mhp) << Ctx;
+        EXPECT_EQ(Tree.lca(Pr.S1, Pr.S2), Pr.Lca) << Ctx;
+      }
+
+      RefTree Ref(Tree);
+      Rng G(Seed * 7919 + Profile);
+      checkAgainstReference(Tree, Ref, G, Ctx);
+
+      // Random finish insertions, nested ones included: wrap a random
+      // child range of a random interior node, often a fresh wrapper
+      // itself or a single child (an interval shared with the child).
+      std::vector<uint32_t> Wrappers;
+      for (int Step = 0; Step != 12; ++Step) {
+        uint32_t PId;
+        if (!Wrappers.empty() && G.nextBelow(2))
+          PId = Wrappers[G.nextBelow(Wrappers.size())];
+        else
+          PId = static_cast<uint32_t>(G.nextBelow(Tree.numNodes()));
+        if (Ref.Kids[PId].empty())
+          continue;
+        size_t NumKids = Ref.Kids[PId].size();
+        size_t B = G.nextBelow(NumKids);
+        size_t E = G.nextBelow(2) ? B : B + G.nextBelow(NumKids - B);
+        uint32_t NewId = static_cast<uint32_t>(Tree.numNodes());
+        DpstNode *F = Tree.insertFinish(Tree.node(Ref.Kids[PId][B]),
+                                        Tree.node(Ref.Kids[PId][E]), nullptr);
+        ASSERT_EQ(F->id(), NewId) << Ctx;
+        ASSERT_TRUE(F->isInserted()) << Ctx;
+        Ref.insertFinish(static_cast<int>(PId), B, E, static_cast<int>(NewId));
+        Wrappers.push_back(NewId);
+      }
+      checkAgainstReference(Tree, Ref, G, Ctx + " after inserts");
+      ++Checked;
+    }
+  EXPECT_GT(Checked, 40u);
+}
+
+TEST(DpstLayout, SuiteTreesStayWithinByteBudget) {
+  // Deterministic byte counts (chunk capacities and side tables), so the
+  // budget holds on any host. Mergesort is the suite's scope- and
+  // async-heavy shape, FannKuch its largest tree.
+  for (const char *Name : {"Mergesort", "FannKuch"}) {
+    const BenchmarkSpec *Spec = findBenchmark(Name);
+    ASSERT_NE(Spec, nullptr);
+    BuiltTree B = buildTree(Spec->Source, Spec->RepairArgs);
+    double PerNode = static_cast<double>(B.Tree->bytesUsed()) /
+                     static_cast<double>(B.Tree->numNodes());
+    EXPECT_LE(PerNode, 64.0) << Name;
+    EXPECT_GE(PerNode, static_cast<double>(sizeof(DpstNode))) << Name;
+  }
 }
 
 } // namespace

@@ -162,6 +162,9 @@ def validate_metrics(path):
         check(ok, f"metric '{key}' is neither a number nor a histogram object")
     for name in ("dpst.nodes", "espbags.checks", "detect.runs"):
         check(name in doc, f"metrics dump missing '{name}'")
+    # The runtime ledger: bytes the S-DPST of the last detection held.
+    check(doc.get("dpst.bytes_used", 0) > 0,
+          "metrics dump missing a non-zero 'dpst.bytes_used'")
 
 
 def main():
