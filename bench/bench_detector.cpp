@@ -12,15 +12,20 @@
 // SRW and MRW variants, comparing:
 //
 //   map          the frozen pre-fast-path detector (hash-map shadow memory,
-//                vector access lists, MonitorPipeline dispatch)
-//   flat         the flat-shadow fast path (paged direct-map shadow,
-//                inline-capacity-2 small vectors, fused monitor dispatch)
-//   flat-compact flat + MRW reader-list compaction (threshold 8)
+//                vector access lists, a global pair hash map, MonitorPipeline
+//                dispatch)
+//   flat         the production detector (paged direct-map shadow,
+//                inline-capacity-2 small vectors, per-sink pair dedupe,
+//                fused monitor dispatch)
 //
-// The event pattern per repetition is race-free — parallel readers joined
-// by a finish, then serial writer steps that scan the reader lists — so no
+// The main sweep's event pattern is race-free — parallel readers joined by
+// a finish, then serial writer steps that scan the reader lists — so no
 // time is spent in race recording and the numbers are pure detection
-// overhead, the common case when validating repaired programs.
+// overhead, the common case when validating repaired programs. The `racy`
+// rows (MRW) time race recording instead: parallel writer steps, then
+// serial sink steps that read every location, so each sink records one
+// pair per writer and sees it once per location (tools/check_bench.py
+// checks the counts).
 //
 // Emits BENCH_detector.json (see --out) in the shared schema validated by
 // tools/check_bench.py, so perf work on the detector leaves a measured
@@ -45,31 +50,45 @@ namespace {
 
 struct Config {
   uint32_t Locs;        ///< distinct array elements touched
-  uint32_t Readers;     ///< parallel reader tasks per repetition
-  uint32_t WriteSteps;  ///< serial writer steps per repetition
+  uint32_t Readers;     ///< parallel reader tasks (racy: serial sink steps)
+  uint32_t WriteSteps;  ///< serial writer steps (racy: parallel writers)
+  bool Racy = false;
 };
 
-/// Streams one repetition of the workload into \p Mon:
+/// Streams one repetition of the workload into \p Mon. Race-free:
 ///
 ///   finish { Readers × async { read all Locs } }   // builds reader lists
 ///   WriteSteps × scope { write all Locs }          // scans reader lists
 ///
+/// Racy:
+///
+///   WriteSteps × async { write all Locs }          // never joined
+///   Readers × scope { read all Locs }              // each read races with
+///                                                  // every writer
+///
 /// Returns the number of read/write accesses emitted.
 uint64_t emitRound(ExecMonitor &Mon, const Config &C) {
-  Mon.onFinishEnter(nullptr, nullptr);
-  for (uint32_t R = 0; R != C.Readers; ++R) {
-    Mon.onAsyncEnter(nullptr, nullptr);
+  auto Step = [&](bool Write) {
     Mon.onStepPoint(nullptr);
-    for (uint32_t L = 0; L != C.Locs; ++L)
-      Mon.onRead(MemLoc::elem(1, L));
+    for (uint32_t L = 0; L != C.Locs; ++L) {
+      if (Write)
+        Mon.onWrite(MemLoc::elem(1, L));
+      else
+        Mon.onRead(MemLoc::elem(1, L));
+    }
+  };
+  if (!C.Racy)
+    Mon.onFinishEnter(nullptr, nullptr);
+  for (uint32_t T = 0; T != (C.Racy ? C.WriteSteps : C.Readers); ++T) {
+    Mon.onAsyncEnter(nullptr, nullptr);
+    Step(/*Write=*/C.Racy);
     Mon.onAsyncExit(nullptr);
   }
-  Mon.onFinishExit(nullptr);
-  for (uint32_t W = 0; W != C.WriteSteps; ++W) {
+  if (!C.Racy)
+    Mon.onFinishExit(nullptr);
+  for (uint32_t S = 0; S != (C.Racy ? C.Readers : C.WriteSteps); ++S) {
     Mon.onScopeEnter(ScopeKind::Block, nullptr, nullptr, nullptr);
-    Mon.onStepPoint(nullptr);
-    for (uint32_t L = 0; L != C.Locs; ++L)
-      Mon.onWrite(MemLoc::elem(1, L));
+    Step(/*Write=*/!C.Racy);
     Mon.onScopeExit();
   }
   return static_cast<uint64_t>(C.Locs) * (C.Readers + C.WriteSteps);
@@ -110,7 +129,9 @@ template <typename Fn> Measure measure(Fn OneRep, double MinSec) {
 
 /// Pre-fast-path wiring: builder and map-shadow detector fanned out by a
 /// MonitorPipeline, exactly as detectRaces dispatched before the change.
-Measure runMap(EspBagsDetector::Mode Mode, const Config &C, double MinSec) {
+/// \p Report receives the last repetition's report.
+Measure runMap(EspBagsDetector::Mode Mode, const Config &C, double MinSec,
+               RaceReport &Report) {
   return measure(
       [&] {
         Dpst Tree;
@@ -120,25 +141,27 @@ Measure runMap(EspBagsDetector::Mode Mode, const Config &C, double MinSec) {
         Pipeline.add(&Builder);
         Pipeline.add(&Det);
         ExecMonitor &Mon = Pipeline;
-        return emitRound(Mon, C);
+        uint64_t Accesses = emitRound(Mon, C);
+        Report = Det.takeReport();
+        return Accesses;
       },
       MinSec);
 }
 
-/// Fast-path wiring: flat-shadow detector behind the fused monitor, as
-/// detectRaces dispatches today. \p CompactThreshold 0 disables reader
-/// compaction.
+/// Production wiring: the detector behind the fused monitor, as
+/// detectRaces dispatches today.
 Measure runFlat(EspBagsDetector::Mode Mode, const Config &C, double MinSec,
-                uint32_t CompactThreshold) {
+                RaceReport &Report) {
   return measure(
       [&] {
         Dpst Tree;
         DpstBuilder Builder(Tree);
         EspBagsDetector Det(Mode, Builder);
-        Det.setReaderCompaction(CompactThreshold);
         FusedDetectMonitor<EspBagsDetector> Fused(Builder, Det);
         ExecMonitor &Mon = Fused;
-        return emitRound(Mon, C);
+        uint64_t Accesses = emitRound(Mon, C);
+        Report = Det.takeReport();
+        return Accesses;
       },
       MinSec);
 }
@@ -149,9 +172,10 @@ const char *modeName(EspBagsDetector::Mode M) {
 
 void report(bench::JsonReport &Report, EspBagsDetector::Mode Mode,
             const Config &C, const char *Impl, const Measure &M,
-            double SpeedupVsMap) {
-  std::string Name = strFormat("%s/locs%u/r%u/w%u/%s", modeName(Mode), C.Locs,
-                               C.Readers, C.WriteSteps, Impl);
+            const RaceReport &Races, double SpeedupVsMap) {
+  std::string Name =
+      strFormat("%s/%slocs%u/r%u/w%u/%s", modeName(Mode), C.Racy ? "racy/" : "",
+                C.Locs, C.Readers, C.WriteSteps, Impl);
   bench::JsonRecord &Rec = Report.add();
   Rec.str("name", Name)
       .str("mode", modeName(Mode))
@@ -161,13 +185,28 @@ void report(bench::JsonReport &Report, EspBagsDetector::Mode Mode,
       .num("write_steps", static_cast<uint64_t>(C.WriteSteps))
       .num("total_accesses", M.Accesses)
       .num("seconds", M.Sec)
-      .num("accesses_per_sec", M.accessesPerSec());
+      .num("accesses_per_sec", M.accessesPerSec())
+      .num("race_reports", Races.RawCount)
+      .num("race_pairs", static_cast<uint64_t>(Races.Pairs.size()));
   if (SpeedupVsMap > 0)
     Rec.num("speedup_vs_map", SpeedupVsMap);
-  std::printf("%-28s %12.0f acc/s%s\n", Name.c_str(), M.accessesPerSec(),
+  std::printf("%-34s %12.0f acc/s%s\n", Name.c_str(), M.accessesPerSec(),
               SpeedupVsMap > 0
                   ? strFormat("  (%.2fx vs map)", SpeedupVsMap).c_str()
                   : "");
+}
+
+/// Measures \p C under both implementations and reports both rows;
+/// returns the flat speedup.
+double compare(bench::JsonReport &Report, EspBagsDetector::Mode Mode,
+               const Config &C, double MinSec) {
+  RaceReport MapRaces, FlatRaces;
+  Measure Map = runMap(Mode, C, MinSec, MapRaces);
+  Measure Flat = runFlat(Mode, C, MinSec, FlatRaces);
+  double Speedup = Flat.accessesPerSec() / Map.accessesPerSec();
+  report(Report, Mode, C, "map", Map, MapRaces, 0);
+  report(Report, Mode, C, "flat", Flat, FlatRaces, Speedup);
+  return Speedup;
 }
 
 } // namespace
@@ -176,14 +215,11 @@ int main(int Argc, char **Argv) {
   bench::ObsSession Obs(Argc, Argv);
   bool Quick = false;
   std::string OutPath = "BENCH_detector.json";
-  uint32_t CompactThreshold = 8;
   for (int I = 1; I != Argc; ++I) {
     if (!std::strcmp(Argv[I], "--quick"))
       Quick = true;
     else if (!std::strcmp(Argv[I], "--out") && I + 1 != Argc)
       OutPath = Argv[++I];
-    else if (!std::strcmp(Argv[I], "--compact") && I + 1 != Argc)
-      CompactThreshold = static_cast<uint32_t>(std::atol(Argv[++I]));
   }
 
   const double MinSec = Quick ? 0.002 : 0.08;
@@ -204,25 +240,30 @@ int main(int Argc, char **Argv) {
     for (uint32_t Locs : LocSweep) {
       for (uint32_t Readers : ReaderSweep) {
         Config C{Locs, Readers, WriteSteps};
-        Measure Map = runMap(Mode, C, MinSec);
-        Measure Flat = runFlat(Mode, C, MinSec, /*CompactThreshold=*/0);
-        double Speedup = Flat.accessesPerSec() / Map.accessesPerSec();
-        report(Report, Mode, C, "map", Map, 0);
-        report(Report, Mode, C, "flat", Flat, Speedup);
-        if (Mode == EspBagsDetector::Mode::MRW) {
-          if (Locs == LargestLocs && Speedup > LargeArrayMrwSpeedup)
-            LargeArrayMrwSpeedup = Speedup;
-          Measure Compact = runFlat(Mode, C, MinSec, CompactThreshold);
-          report(Report, Mode, C, "flat-compact", Compact,
-                 Compact.accessesPerSec() / Map.accessesPerSec());
-        }
+        double Speedup = compare(Report, Mode, C, MinSec);
+        if (Mode == EspBagsDetector::Mode::MRW && Locs == LargestLocs &&
+            Speedup > LargeArrayMrwSpeedup)
+          LargeArrayMrwSpeedup = Speedup;
       }
     }
+  }
+
+  // Race recording: every sink step records RacyWriters pairs.
+  bench::banner("MRW race recording (accesses/sec)");
+  const uint32_t RacyWriters = 64;
+  const uint32_t RacySinks = Quick ? 512 : 2048;
+  double RacySpeedup = 0;
+  for (uint32_t Locs : {1u, 8u}) {
+    Config C{Locs, RacySinks, RacyWriters, /*Racy=*/true};
+    double Speedup = compare(Report, EspBagsDetector::Mode::MRW, C, MinSec);
+    if (Speedup > RacySpeedup)
+      RacySpeedup = Speedup;
   }
 
   bench::banner("Summary");
   std::printf("large-array MRW sweep (locs=%u) best flat speedup: %.2fx\n",
               LargestLocs, LargeArrayMrwSpeedup);
+  std::printf("racy MRW best flat speedup: %.2fx\n", RacySpeedup);
 
   if (!Report.writeTo(OutPath)) {
     std::fprintf(stderr, "bench_detector: failed to write %s\n",

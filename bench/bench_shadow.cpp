@@ -59,26 +59,27 @@ using namespace tdr;
 
 namespace {
 
-/// Mirrors EspBagsDetector::Shadow (two inline access lists plus a
-/// counter) so page/slab costs match what detection runs pay.
+/// Mirrors EspBagsDetector::Shadow (two inline lists of 8-byte access
+/// records) so page/slab costs match what detection runs pay.
 struct Access {
   uint32_t Elem = 0;
-  const void *Step = nullptr;
+  uint32_t StepId = 0;
 };
 
 struct ShadowRec {
   static constexpr bool AllZeroInit = true;
   SmallVector<Access, 2> Writers;
   SmallVector<Access, 2> Readers;
-  uint32_t CompactLimit = 0;
 };
 
-/// The per-slot work of a detector check: scan-and-append on the inline
-/// lists, bounded so the workload stays allocation-free like the hot path.
+/// The per-slot work of a detector check: append to, or (like SRW)
+/// replace the tail of, an inline list, bounded so the workload stays
+/// allocation-free like the hot path.
 inline void touch(ShadowRec &S, uint32_t Task) {
   if (S.Readers.size() < 2)
-    S.Readers.push_back({Task, nullptr});
-  S.CompactLimit += 1;
+    S.Readers.push_back({Task, 0});
+  else
+    S.Readers[1] = {Task, 0};
 }
 
 struct Measure {

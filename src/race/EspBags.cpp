@@ -8,6 +8,9 @@
 
 #include "obs/Metrics.h"
 
+#include <bit>
+#include <cassert>
+
 using namespace tdr;
 
 EspBagsDetector::EspBagsDetector(Mode M, DpstBuilder &Builder)
@@ -20,6 +23,7 @@ EspBagsDetector::EspBagsDetector(Mode M, DpstBuilder &Builder)
   TaskElems.push_back(Bags.makeSet(BagSet::Tag::S));
   FinishElems.push_back(Bags.makeSet(BagSet::Tag::P));
   CurElem = TaskElems.back();
+  SinkSlots.resize(128);
 }
 
 void EspBagsDetector::onAsyncEnter(const AsyncStmt *, const Stmt *) {
@@ -104,25 +108,32 @@ void EspBagsDetector::onScopeEnter(ScopeKind, const Stmt *, const BlockStmt *,
 
 void EspBagsDetector::onScopeExit() { CachedStep = nullptr; }
 
-void EspBagsDetector::recordRace(const Access &Prev, AccessKind PrevKind,
+void EspBagsDetector::recordRace(uint32_t SrcId, AccessKind PrevKind,
                                  DpstNode *CurStep, AccessKind CurKind,
                                  MemLoc L) {
+  const Dpst &Tree = Builder.tree();
   // Isolated steps commute under mutual exclusion; the shared S-DPST
   // carries the per-step flag. Suppressed observations bump no counters,
   // so every detector applying the same two checks stays byte-identical.
-  if (Dpst::bothIsolated(Prev.Step, CurStep))
+  if (CurStep->isIsolated() && Tree.node(SrcId)->isIsolated())
     return;
   // With futures in play the bags over-approximate (a force join edge is
   // not a bag merge), so confirm against the S-DPST before recording.
-  if (SawFuture && !Builder.tree().mayHappenInParallel(Prev.Step, CurStep))
+  if (SawFuture && !Tree.mayHappenInParallel(Tree.node(SrcId), CurStep))
     return;
   CRaw->inc();
   ++Report.RawCount;
-  auto [It, Inserted] = SeenPairs.try_emplace(
-      packRacePairKey(Prev.Step->id(), CurStep->id()),
-      static_cast<uint32_t>(Report.Pairs.size()));
-  if (!Inserted) {
-    RacePair &Kept = Report.Pairs[It->second];
+  // Every sink is the current step, and a closed step is never reopened,
+  // so the pairs of an earlier sink can never repeat.
+  uint32_t Id = CurStep->id();
+  assert(Id >= SinkId && "sink step ids must not decrease");
+  if (Id != SinkId) {
+    SinkId = Id;
+    SinkBegin = static_cast<uint32_t>(Report.Pairs.size());
+  }
+  SinkSlot &Slot = sinkSlot(SrcId);
+  if (Slot.PairPlus1 > SinkBegin) {
+    RacePair &Kept = Report.Pairs[Slot.PairPlus1 - 1];
     if (witnessPreferred(Kept, L, PrevKind, CurKind)) {
       Kept.Loc = L;
       Kept.SrcKind = PrevKind;
@@ -132,39 +143,37 @@ void EspBagsDetector::recordRace(const Access &Prev, AccessKind PrevKind,
   }
   CPairs->inc();
   RacePair R;
-  R.Src = Prev.Step;
+  R.Src = Tree.node(SrcId);
   R.Snk = CurStep;
   R.Loc = L;
   R.SrcKind = PrevKind;
   R.SnkKind = CurKind;
   Report.Pairs.push_back(R);
+  Slot = SinkSlot{SrcId, static_cast<uint32_t>(Report.Pairs.size())};
+  if (2 * (Report.Pairs.size() - SinkBegin) > SinkSlots.size())
+    growSinkSlots();
 }
 
-void EspBagsDetector::compactReaders(Shadow &S) {
-  // Entries whose bags have merged share one union-find representative and
-  // — since bags only ever merge — will be classified identically (S vs P)
-  // against every future access. Keep the first entry per representative
-  // as the surviving race witness for that task group.
-  RootScratch.clear();
-  uint32_t Kept = 0;
-  for (uint32_t I = 0; I != S.Readers.size(); ++I) {
-    uint32_t Root = Bags.find(S.Readers[I].Elem);
-    bool Seen = false;
-    for (uint32_t R : RootScratch)
-      if (R == Root) {
-        Seen = true;
-        break;
-      }
-    if (Seen)
-      continue;
-    RootScratch.push_back(Root);
-    S.Readers[Kept++] = S.Readers[I];
+EspBagsDetector::SinkSlot &EspBagsDetector::sinkSlot(uint32_t SrcId) {
+  // Fibonacci hashing: the top log2(size) bits of the product. Linear
+  // probing ends at the first slot not live for the current sink (stale
+  // slots count as empty).
+  size_t Mask = SinkSlots.size() - 1;
+  unsigned Shift = std::countl_zero(static_cast<uint64_t>(Mask));
+  for (size_t I = (SrcId * 0x9E3779B97F4A7C15ull) >> Shift;;
+       I = (I + 1) & Mask) {
+    SinkSlot &S = SinkSlots[I];
+    if (S.PairPlus1 <= SinkBegin || S.SrcId == SrcId)
+      return S;
   }
-  S.Readers.truncate(Kept);
-  // Amortize: only re-compact once the list doubles past this point, so a
-  // location with many live representatives is not rescanned per access.
-  uint32_t Doubled = 2 * (Kept < CompactThreshold ? CompactThreshold : Kept);
-  S.CompactLimit = Doubled;
+}
+
+void EspBagsDetector::growSinkSlots() {
+  std::vector<SinkSlot> Old(SinkSlots.size() * 2);
+  Old.swap(SinkSlots);
+  for (const SinkSlot &S : Old)
+    if (S.PairPlus1 > SinkBegin)
+      sinkSlot(S.SrcId) = S;
 }
 
 void EspBagsDetector::onRead(MemLoc L) {
@@ -193,51 +202,48 @@ void EspBagsDetector::onWriteRun(MemLoc L, uint64_t N) {
 
 void EspBagsDetector::readSlot(Shadow &S, DpstNode *Step, MemLoc L) {
   CChecks->inc(S.Writers.size());
+  uint32_t Id = Step->id();
 
   for (const Access &W : S.Writers)
-    if (W.Step != Step && Bags.isP(W.Elem))
-      recordRace(W, AccessKind::Write, Step, AccessKind::Read, L);
+    if (W.StepId != Id && Bags.isP(W.Elem))
+      recordRace(W.StepId, AccessKind::Write, Step, AccessKind::Read, L);
 
   if (M == Mode::SRW) {
     // Keep a single reader; replace it only when it is serialized with the
     // current step (a parallel reader is the more dangerous witness for
     // future writes).
     if (S.Readers.empty())
-      S.Readers.push_back(Access{curTaskElem(), Step});
+      S.Readers.push_back(Access{curTaskElem(), Id});
     else if (!Bags.isP(S.Readers[0].Elem))
-      S.Readers[0] = Access{curTaskElem(), Step};
+      S.Readers[0] = Access{curTaskElem(), Id};
     return;
   }
   // MRW: track every reader, deduplicating per step (accesses between two
   // step boundaries come from one step, so checking the tail suffices).
-  if (S.Readers.empty() || S.Readers.back().Step != Step)
-    S.Readers.push_back(Access{curTaskElem(), Step});
-  if (CompactThreshold &&
-      S.Readers.size() >=
-          (S.CompactLimit > CompactThreshold ? S.CompactLimit
-                                             : CompactThreshold))
-    compactReaders(S);
+  if (S.Readers.empty() || S.Readers.back().StepId != Id)
+    S.Readers.push_back(Access{curTaskElem(), Id});
 }
 
 void EspBagsDetector::writeSlot(Shadow &S, DpstNode *Step, MemLoc L) {
   CChecks->inc(S.Writers.size() + S.Readers.size());
+  uint32_t Id = Step->id();
 
   for (const Access &W : S.Writers)
-    if (W.Step != Step && Bags.isP(W.Elem))
-      recordRace(W, AccessKind::Write, Step, AccessKind::Write, L);
+    if (W.StepId != Id && Bags.isP(W.Elem))
+      recordRace(W.StepId, AccessKind::Write, Step, AccessKind::Write, L);
   for (const Access &R : S.Readers)
-    if (R.Step != Step && Bags.isP(R.Elem))
-      recordRace(R, AccessKind::Read, Step, AccessKind::Write, L);
+    if (R.StepId != Id && Bags.isP(R.Elem))
+      recordRace(R.StepId, AccessKind::Read, Step, AccessKind::Write, L);
 
   if (M == Mode::SRW) {
     if (S.Writers.empty())
-      S.Writers.push_back(Access{curTaskElem(), Step});
+      S.Writers.push_back(Access{curTaskElem(), Id});
     else
-      S.Writers[0] = Access{curTaskElem(), Step};
+      S.Writers[0] = Access{curTaskElem(), Id};
     return;
   }
-  if (S.Writers.empty() || S.Writers.back().Step != Step)
-    S.Writers.push_back(Access{curTaskElem(), Step});
+  if (S.Writers.empty() || S.Writers.back().StepId != Id)
+    S.Writers.push_back(Access{curTaskElem(), Id});
 }
 
 RaceReport EspBagsDetector::takeReport() { return std::move(Report); }

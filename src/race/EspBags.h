@@ -32,13 +32,20 @@
 /// per-access path is kept flat:
 ///
 ///  * shadow state lives in a paged direct-map ShadowMemory (no hashing);
-///  * access lists are SmallVectors with inline capacity 2, so SRW and the
-///    common MRW case never heap-allocate;
+///  * access lists are SmallVectors of 8-byte (task element, step id)
+///    records with inline capacity 2, so SRW and the common MRW case never
+///    heap-allocate and a check touches no S-DPST node;
 ///  * the current step node and task element are cached across each step
-///    (invalidated at structure-event boundaries) instead of being
-///    re-derived per access;
-///  * optionally, MRW reader lists past a threshold are compacted down to
-///    one entry per BagSet representative (see setReaderCompaction).
+///    (invalidated at structure events) instead of being re-derived per
+///    access.
+///
+/// Racing pairs are deduplicated per sink step. The builder creates each
+/// step once and never reopens a closed one, so the sink of every
+/// observation is the current step, sink ids never decrease, and the pairs
+/// of the current sink are exactly the tail [SinkBegin, Pairs.size()) of
+/// the report. A small open-addressing table over that tail, keyed by
+/// source step id, finds a repeated pair; moving to a new sink empties it
+/// in O(1) (see SinkSlot).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,7 +58,7 @@
 #include "race/ShadowMemory.h"
 #include "support/SmallVector.h"
 
-#include <unordered_map>
+#include <vector>
 
 namespace tdr {
 
@@ -66,18 +73,6 @@ public:
   enum class Mode { SRW, MRW };
 
   EspBagsDetector(Mode M, DpstBuilder &Builder);
-
-  /// Enables MRW reader-list compaction: once a location's reader list
-  /// reaches \p Threshold entries, it is deduplicated down to one entry
-  /// per BagSet::find representative (union-find sets only ever merge, so
-  /// same-representative entries stay classified identically forever).
-  /// This bounds reader-list growth on read-heavy locations but reports
-  /// only one racing pair per merged task group instead of all of them —
-  /// an enumeration/throughput trade in the spirit of SRW vs MRW (§4.1).
-  /// Off by default (0) so MRW keeps its report-every-pair guarantee.
-  void setReaderCompaction(uint32_t Threshold) {
-    CompactThreshold = Threshold;
-  }
 
   void onAsyncEnter(const AsyncStmt *S, const Stmt *Owner) override;
   void onAsyncExit(const AsyncStmt *S) override;
@@ -109,8 +104,8 @@ public:
 
 private:
   struct Access {
-    uint32_t Elem = 0;
-    DpstNode *Step = nullptr;
+    uint32_t Elem = 0;   ///< S-bag element of the accessing task
+    uint32_t StepId = 0; ///< S-DPST id of the accessing step
   };
 
   /// Per-location shadow state. SRW uses [0] of each vector. Inline
@@ -123,15 +118,23 @@ private:
 
     SmallVector<Access, 2> Writers;
     SmallVector<Access, 2> Readers;
-    /// Next reader-list size that triggers compaction (amortization; see
-    /// compactReaders).
-    uint32_t CompactLimit = 0;
+  };
+  static_assert(sizeof(Shadow) <= 64, "a shadow slot fits one cache line");
+
+  /// One slot of the per-sink dedupe table. Live iff it indexes a pair of
+  /// the current sink (PairPlus1 > SinkBegin), so advancing SinkBegin
+  /// empties the whole table without touching it.
+  struct SinkSlot {
+    uint32_t SrcId = 0;
+    uint32_t PairPlus1 = 0; ///< index into Report.Pairs, plus one; 0 = empty
   };
 
-  void recordRace(const Access &Prev, AccessKind PrevKind, DpstNode *CurStep,
+  void recordRace(uint32_t SrcId, AccessKind PrevKind, DpstNode *CurStep,
                   AccessKind CurKind, MemLoc L);
-
-  void compactReaders(Shadow &S);
+  /// The slot holding \p SrcId's pair with the current sink, or the empty
+  /// slot where it belongs.
+  SinkSlot &sinkSlot(uint32_t SrcId);
+  void growSinkSlots();
 
   /// Per-slot check/update bodies shared by the single-access hooks and
   /// the batched run path, so both orders of entry produce byte-identical
@@ -163,15 +166,15 @@ private:
   DpstNode *CachedStep = nullptr;    ///< step-boundary-cached current step
   bool SawFuture = false; ///< any future so far => confirm races via S-DPST
   uint32_t CurElem = 0;              ///< cached TaskElems.back()
-  uint32_t CompactThreshold = 0;     ///< 0 = compaction off
   std::vector<uint32_t> TaskElems;   ///< S-bag element per active task
   std::vector<uint32_t> FinishElems; ///< P-bag element per active finish
   ShadowMemory<Shadow> Shadows;
-  std::vector<uint32_t> RootScratch; ///< compaction scratch (reused)
   RaceReport Report;
-  /// Pair key -> index into Report.Pairs, so duplicate observations can
-  /// upgrade the kept witness (see witnessPreferred).
-  std::unordered_map<uint64_t, uint32_t> SeenPairs;
+  uint32_t SinkId = 0;    ///< sink step of the report's tail
+  uint32_t SinkBegin = 0; ///< first index of that sink's pairs
+  /// Power-of-two open-addressing table over the tail's pairs, kept at
+  /// most half full.
+  std::vector<SinkSlot> SinkSlots;
 };
 
 } // namespace tdr

@@ -35,8 +35,8 @@ struct RacePair {
   AccessKind SnkKind = AccessKind::Write;
 };
 
-/// Packs two step ids into the 64-bit key the detectors dedupe racing
-/// pairs on. Normalized on the unordered pair — (A,B) and (B,A) yield the
+/// Packs two step ids into the 64-bit key the Theorem-1 oracle dedupes
+/// racing pairs on (ESP-bags dedupes per sink step instead). Normalized on the unordered pair — (A,B) and (B,A) yield the
 /// same key — so the same race observed under different access orders
 /// (e.g. across re-detection after a partial repair) dedupes consistently.
 /// Each id keeps its own 32-bit half, so distinct unordered pairs never

@@ -28,7 +28,8 @@ namespace tdr {
 
 /// Bump allocator over fixed-size slabs. Never frees individual blocks;
 /// everything is released when the arena dies. Oversized requests get a
-/// dedicated slab.
+/// dedicated slab. Slabs are not zero-filled (every user initializes what
+/// it allocates), so an untouched slab tail costs no resident memory.
 class MonotonicArena {
 public:
   static constexpr size_t SlabBytes = 1 << 16;
@@ -42,7 +43,8 @@ public:
     uintptr_t P = (reinterpret_cast<uintptr_t>(Cur) + Align - 1) & ~(Align - 1);
     if (P + Bytes > reinterpret_cast<uintptr_t>(End)) {
       size_t SlabSize = Bytes + Align <= SlabBytes ? SlabBytes : Bytes + Align;
-      Slabs.push_back(std::make_unique<unsigned char[]>(SlabSize));
+      Slabs.push_back(
+          std::make_unique_for_overwrite<unsigned char[]>(SlabSize));
       Cur = Slabs.back().get();
       End = Cur + SlabSize;
       Allocated += SlabSize;

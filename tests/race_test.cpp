@@ -4,8 +4,9 @@
 //
 // Unit tests on the paper's examples (Figures 5, 7, 8), property tests
 // validating MRW ESP-bags against the independent Theorem-1 oracle on
-// random programs, and the TDR_BACKEND_CHECK differential that checks
-// every detection against that oracle.
+// random programs, the per-sink pair dedupe against the frozen reference
+// detector, and the TDR_BACKEND_CHECK differential that checks every
+// detection against that oracle.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +16,7 @@
 #include "obs/Metrics.h"
 #include "race/Detect.h"
 #include "race/OracleDetector.h"
+#include "race/RefDetectors.h"
 #include "repair/RepairDriver.h"
 #include "trace/EventLog.h"
 
@@ -447,6 +449,127 @@ func main() {
     ASSERT_FALSE(Mrw.Report.Pairs.empty()) << Src;
     ASSERT_TRUE(Srw.Report.Pairs.empty()) << Src;
     EXPECT_TRUE(srwConsistentWith(Srw.Report, Mrw)) << Src;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Per-sink pair dedupe: the sink of every observation is the current step
+//===----------------------------------------------------------------------===//
+
+/// Streams a synthetic execution into \p Mon: \p Sources parallel tasks,
+/// each reading cell 7 and writing cells 9 and 3, then two sink steps of
+/// the root task. The first writes cell 7 (a read-write race with every
+/// task), then cell 9 (each witness upgrades to write-write), then cell 3
+/// (each upgrades to the lower location), then cell 9 again (no upgrade);
+/// the second reads cell 9. Every task step is itself the sink of a
+/// write-write race with each earlier task.
+void emitManySourcesTwoSinks(ExecMonitor &Mon, uint32_t Sources) {
+  for (uint32_t I = 0; I != Sources; ++I) {
+    Mon.onAsyncEnter(nullptr, nullptr);
+    Mon.onStepPoint(nullptr);
+    Mon.onRead(MemLoc::elem(1, 7));
+    Mon.onWrite(MemLoc::elem(1, 9));
+    Mon.onWrite(MemLoc::elem(1, 3));
+    Mon.onAsyncExit(nullptr);
+  }
+  Mon.onScopeEnter(ScopeKind::Block, nullptr, nullptr, nullptr);
+  Mon.onStepPoint(nullptr);
+  for (int64_t Cell : {7, 9, 3, 9})
+    Mon.onWrite(MemLoc::elem(1, Cell));
+  Mon.onScopeExit();
+  Mon.onScopeEnter(ScopeKind::Block, nullptr, nullptr, nullptr);
+  Mon.onStepPoint(nullptr);
+  Mon.onRead(MemLoc::elem(1, 9));
+  Mon.onScopeExit();
+}
+
+TEST(SinkDedupe, ManySourcesMatchTheFrozenReference) {
+  // 100 sources outgrow the dedupe table's initial 64 live entries.
+  const uint32_t Sources = 100;
+  for (EspBagsDetector::Mode Mode :
+       {EspBagsDetector::Mode::MRW, EspBagsDetector::Mode::SRW}) {
+    Dpst Tree;
+    DpstBuilder Builder(Tree);
+    EspBagsDetector Det(Mode, Builder);
+    FusedDetectMonitor<EspBagsDetector> Fused(Builder, Det);
+    emitManySourcesTwoSinks(Fused, Sources);
+    RaceReport Report = Det.takeReport();
+
+    Dpst RefTree;
+    DpstBuilder RefBuilder(RefTree);
+    RefEspBagsDetector Ref(Mode, RefBuilder);
+    MonitorPipeline Pipeline;
+    Pipeline.add(&RefBuilder);
+    Pipeline.add(&Ref);
+    emitManySourcesTwoSinks(Pipeline, Sources);
+
+    EXPECT_EQ(renderRaceReportKey(Report),
+              renderRaceReportKey(Ref.takeReport()));
+    if (Mode == EspBagsDetector::Mode::SRW)
+      continue;
+    // The first sink keeps one pair per task, upgraded to a write-write
+    // witness on cell 3; the second sink's pairs start over.
+    ASSERT_FALSE(Report.Pairs.empty());
+    const DpstNode *Second = Report.Pairs.back().Snk;
+    auto Before = std::find_if(
+        Report.Pairs.rbegin(), Report.Pairs.rend(),
+        [&](const RacePair &P) { return P.Snk != Second; });
+    ASSERT_NE(Before, Report.Pairs.rend());
+    const DpstNode *First = Before->Snk;
+    uint32_t FirstPairs = 0, SecondPairs = 0;
+    for (const RacePair &P : Report.Pairs) {
+      if (P.Snk == First) {
+        ++FirstPairs;
+        EXPECT_TRUE(P.Loc == MemLoc::elem(1, 3));
+        EXPECT_EQ(P.SrcKind, AccessKind::Write);
+        EXPECT_EQ(P.SnkKind, AccessKind::Write);
+      } else if (P.Snk == Second) {
+        ++SecondPairs;
+        EXPECT_TRUE(P.Loc == MemLoc::elem(1, 9));
+        EXPECT_EQ(P.SrcKind, AccessKind::Write);
+        EXPECT_EQ(P.SnkKind, AccessKind::Read);
+      }
+    }
+    EXPECT_EQ(FirstPairs, Sources);
+    EXPECT_EQ(SecondPairs, Sources);
+  }
+}
+
+/// Asserts the pairs of \p R come grouped by sink, in step order.
+void expectSinksNonDecreasing(const RaceReport &R, const std::string &Src) {
+  for (size_t I = 1; I < R.Pairs.size(); ++I)
+    ASSERT_LE(R.Pairs[I - 1].Snk->id(), R.Pairs[I].Snk->id())
+        << "pair " << I << "\n"
+        << Src;
+}
+
+TEST(SinkDedupe, PairsAreOrderedBySinkFreshAndReplayed) {
+  Rng SeedGen(0x51DE);
+  for (int Trial = 0; Trial != 40; ++Trial) {
+    RandomProgramGen Gen(SeedGen.next());
+    if (Trial % 2)
+      Gen.enableConstructs();
+    std::string Src = Gen.generate();
+    ParsedProgram P = parseAndCheck(Src);
+    ASSERT_TRUE(P.ok()) << P.errors() << "\n" << Src;
+
+    trace::InputTrace T;
+    trace::RecorderMonitor Recorder(T.Log);
+    ExecOptions Exec;
+    Exec.Monitor = &Recorder;
+    T.Exec = runProgram(*P.Prog, std::move(Exec));
+    Recorder.flush();
+    ASSERT_TRUE(T.Exec.Ok) << T.Exec.Error << "\n" << Src;
+
+    for (EspBagsDetector::Mode Mode :
+         {EspBagsDetector::Mode::MRW, EspBagsDetector::Mode::SRW}) {
+      Detection Fresh = detect(P, Mode);
+      ASSERT_TRUE(Fresh.ok()) << Fresh.Exec.Error << "\n" << Src;
+      expectSinksNonDecreasing(Fresh.Report, Src);
+      Detection Replayed = detectRaces(*P.Prog, Mode, T, trace::ReplayPlan());
+      ASSERT_TRUE(Replayed.ok()) << Replayed.Exec.Error << "\n" << Src;
+      expectSinksNonDecreasing(Replayed.Report, Src);
+    }
   }
 }
 

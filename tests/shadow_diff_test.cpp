@@ -7,7 +7,7 @@
 // representation change: on every program it must produce the IDENTICAL
 // RaceReport as the frozen pre-change detectors in RefDetectors.h. These
 // tests check that on ~100 random programs per detector variant, plus the
-// pair-key packing and the opt-in MRW reader compaction.
+// pair-key packing.
 //
 // The two-level compressed shadow map (ShadowMemory.h) is held to the same
 // bar on the access shapes it exists for: random programs biased to huge
@@ -26,7 +26,6 @@
 #include "race/ShadowMemory.h"
 #include "trace/Replay.h"
 
-#include <algorithm>
 #include <set>
 
 using namespace tdr;
@@ -68,22 +67,6 @@ RefRun runRefOracle(ParsedProgram &P) {
   Pipeline.add(&Det);
   ExecOptions Exec;
   Exec.Monitor = &Pipeline;
-  ExecResult R = runProgram(*P.Prog, std::move(Exec));
-  EXPECT_TRUE(R.Ok) << R.Error;
-  Run.Report = Det.takeReport();
-  return Run;
-}
-
-/// Runs \p P under the flat-shadow ESP-bags detector with an explicit
-/// reader-compaction threshold (detectRaces always leaves compaction off).
-RefRun runFlatCompacting(ParsedProgram &P, uint32_t Threshold) {
-  RefRun Run;
-  DpstBuilder Builder(*Run.Tree);
-  EspBagsDetector Det(EspBagsDetector::Mode::MRW, Builder);
-  Det.setReaderCompaction(Threshold);
-  FusedDetectMonitor<EspBagsDetector> Fused(Builder, Det);
-  ExecOptions Exec;
-  Exec.Monitor = &Fused;
   ExecResult R = runProgram(*P.Prog, std::move(Exec));
   EXPECT_TRUE(R.Ok) << R.Error;
   Run.Report = Det.takeReport();
@@ -356,36 +339,6 @@ TEST(TwoLevelShadow, ForRunSweepsConsecutiveCellsAcrossPages) {
   EXPECT_EQ(S.numPrivatePages(), 2u);
   for (int64_t I = Start; I != Start + static_cast<int64_t>(N); ++I)
     EXPECT_EQ(S.slot(MemLoc::elem(9, I)).Epoch, static_cast<uint32_t>(I));
-}
-
-//===----------------------------------------------------------------------===//
-// MRW reader compaction: lossy enumeration, lossless detection
-//===----------------------------------------------------------------------===//
-
-TEST(ReaderCompaction, PairsSubsetAndDetectionPreserved) {
-  Rng SeedGen(777);
-  for (int Trial = 0; Trial != 25; ++Trial) {
-    RandomProgramGen Gen(SeedGen.next());
-    std::string Src = Gen.generate();
-    ParsedProgram P = parseAndCheck(Src);
-    ASSERT_TRUE(P.ok()) << P.errors() << "\n" << Src;
-
-    Detection Full = detectRaces(*P.Prog, EspBagsDetector::Mode::MRW);
-    ASSERT_TRUE(Full.ok());
-    // Aggressive threshold so compaction actually fires on the 8-cell
-    // random programs.
-    RefRun Compacted = runFlatCompacting(P, /*Threshold=*/2);
-
-    auto FullSet = pairIdSet(Full.Report);
-    auto CompactSet = pairIdSet(Compacted.Report);
-    EXPECT_TRUE(std::includes(FullSet.begin(), FullSet.end(),
-                              CompactSet.begin(), CompactSet.end()))
-        << Src;
-    // Compaction keeps one reader per union-find representative, which is
-    // enough to keep *detecting* every race even when it no longer
-    // *enumerates* every racing pair.
-    EXPECT_EQ(CompactSet.empty(), FullSet.empty()) << Src;
-  }
 }
 
 //===----------------------------------------------------------------------===//

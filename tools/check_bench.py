@@ -65,6 +65,22 @@ def validate_detector_rows(results):
                 row.get("speedup_vs_map", 0) > 0,
                 f"result {i} ({row['name']}) missing speedup_vs_map",
             )
+        # Racy rows: every sink step (readers) records one pair per
+        # parallel writer (write_steps), and the writers race pairwise;
+        # each pair is seen once per location. The main sweep is race-free.
+        racy = "/racy/" in row["name"]
+        w = row["write_steps"]
+        want_pairs = row["readers"] * w + w * (w - 1) // 2 if racy else 0
+        check(
+            row["race_pairs"] == want_pairs,
+            f"result {i} ({row['name']}) has {row['race_pairs']} race pairs, "
+            f"expected {want_pairs}",
+        )
+        check(
+            row["race_reports"] == want_pairs * row["locs"],
+            f"result {i} ({row['name']}) has {row['race_reports']} race "
+            f"reports, expected {want_pairs * row['locs']}",
+        )
 
     # The report's whole point is the before/after comparison: both the
     # frozen map baseline and the flat fast path must be present, for both
@@ -218,6 +234,8 @@ BENCHES = {
             "total_accesses",
             "seconds",
             "accesses_per_sec",
+            "race_reports",
+            "race_pairs",
         },
         validate_detector_rows,
         "speedup_vs_map",
