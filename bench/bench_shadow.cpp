@@ -28,13 +28,8 @@
 //   random-stride   page-hostile 4097-strided sweeps over a mid-size
 //                   span — exercises the top-level probe and the
 //                   one-entry page cache miss path. Reported, ungated.
-//   spilled-replay  streaming a recorded event log front to back (the
-//                   replayEvents access pattern), fully resident vs
-//                   spilled to disk with a bounded resident window. CI
-//                   gates the spilled peak at <= 0.5x resident
-//                   (--max-bytes-ratio spilled-replay:0.5).
 //
-// Every row reports wall-clock and the peak shadow (or log) bytes of one
+// Every row reports wall-clock and the peak shadow bytes of one
 // full workload pass; non-baseline rows add speedup_vs_base and
 // bytes_ratio_vs_base. Emits BENCH_shadow.json in the shared schema
 // validated by tools/check_bench.py.
@@ -48,7 +43,6 @@
 #include "support/SmallVector.h"
 #include "support/StringUtils.h"
 #include "support/Timer.h"
-#include "trace/EventLog.h"
 
 #include <cstring>
 #include <functional>
@@ -258,83 +252,6 @@ void runShadowFamily(bench::JsonReport &Report, const ShadowConfig &C,
               static_cast<double>(SparseBytes) / DenseBytes);
 }
 
-//===----------------------------------------------------------------------===//
-// Spilled-replay family
-//===----------------------------------------------------------------------===//
-
-/// Fills \p Log with a synthetic access-dominated event stream shaped like
-/// a recorded detection run (steps delimiting read/write bursts).
-void fillLog(trace::EventLog &Log, uint64_t Events) {
-  trace::Event Step;
-  Step.K = trace::EvKind::StepPoint;
-  for (uint64_t I = 0; I != Events; ++I) {
-    if (I % 64 == 0)
-      Log.push(Step);
-    trace::Event E = trace::Event::access(
-        I % 3 ? trace::EvKind::Read : trace::EvKind::Write,
-        MemLoc::elem(1, static_cast<int64_t>(I % 4096)));
-    Log.push(E);
-  }
-}
-
-void runSpilledReplayFamily(bench::JsonReport &Report, uint64_t Events,
-                            size_t Threshold, double MinSec) {
-  // Streaming consumer standing in for the replayer: forEach front to
-  // back is exactly the replayEvents access pattern.
-  auto Stream = [](const trace::EventLog &Log) {
-    uint64_t Sum = 0;
-    Log.forEach([&](const trace::Event &E) { Sum += E.U + E.Id; });
-    return Sum;
-  };
-
-  trace::EventLog Resident;
-  Resident.setSpillThreshold(0);
-  fillLog(Resident, Events);
-
-  trace::EventLog Spilled;
-  Spilled.setSpillThreshold(Threshold);
-  fillLog(Spilled, Events);
-
-  uint64_t Total = Resident.size();
-  static volatile uint64_t Sink = 0;
-  std::vector<Lane> Lanes;
-  Lanes.push_back({[&Stream, &Resident, Total] {
-                     Sink = Sink + Stream(Resident);
-                     return Total;
-                   },
-                   {},
-                   0});
-  Lanes.push_back({[&Stream, &Spilled, Total] {
-                     Sink = Sink + Stream(Spilled);
-                     return Total;
-                   },
-                   {},
-                   0});
-  measureLanes(Lanes, MinSec);
-  const Measure &ResidentM = Lanes[0].Best;
-  const Measure &SpilledM = Lanes[1].Best;
-
-  size_t ResidentBytes = Resident.bytesReserved();
-  // Peak in-memory footprint while streaming: the bounded resident window
-  // plus the 16-chunk sequential readahead buffer forEach allocates.
-  size_t SpilledBytes =
-      Spilled.bytesResident() + 16 * trace::EventLog::ChunkBytes;
-
-  std::string Base = strFormat("spilled-replay/ev%llu",
-                               static_cast<unsigned long long>(Events));
-  reportRow(Report, Base + "/resident", "spilled-replay", "resident", Events,
-            ResidentM, ResidentBytes, 0, 0);
-  reportRow(Report, Base + "/spilled", "spilled-replay", "spilled", Events,
-            SpilledM, SpilledBytes, Lanes[1].BestRatioVsBase,
-            static_cast<double>(SpilledBytes) / ResidentBytes);
-
-  if (!Spilled.spilled())
-    std::fprintf(stderr,
-                 "bench_shadow: warning: spill threshold never hit "
-                 "(events=%llu threshold=%zu)\n",
-                 static_cast<unsigned long long>(Events), Threshold);
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -383,14 +300,6 @@ int main(int Argc, char **Argv) {
     for (uint64_t I = 0; I != N; ++I)
       Idx[I] = static_cast<int64_t>((I * 4097) % (1ull << 22));
     runShadowFamily(Report, C, Idx, MinSec, /*WithForRun=*/false);
-  }
-
-  // spilled-replay: stream a recorded log, resident vs spilled.
-  {
-    bench::banner("spilled-replay (forEach streaming)");
-    uint64_t Events = Quick ? (1ull << 18) : 10000000ull;
-    size_t Threshold = (Quick ? 4 : 256) * trace::EventLog::ChunkBytes;
-    runSpilledReplayFamily(Report, Events, Threshold, MinSec);
   }
 
   if (!Report.writeTo(OutPath)) {

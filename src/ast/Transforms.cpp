@@ -131,29 +131,24 @@ unsigned tdr::elideParallelism(Program &P) {
 }
 
 FinishStmt *tdr::wrapInFinish(AstContext &Ctx, BlockStmt *B, size_t Begin,
-                              size_t End, FinishEditSink *Edits) {
+                              size_t End) {
   assert(Begin <= End && End < B->stmts().size() &&
          "finish range out of bounds");
   Stmt *First = B->stmts()[Begin];
-  Stmt *Last = B->stmts()[End];
   Stmt *Body;
-  BlockStmt *NewBody = nullptr;
   SourceLoc Loc = First->loc();
   if (Begin == End) {
     Body = First;
   } else {
     std::vector<Stmt *> Inner(B->stmts().begin() + Begin,
                               B->stmts().begin() + End + 1);
-    NewBody = Ctx.createStmt<BlockStmt>(std::move(Inner), Loc);
-    Body = NewBody;
+    Body = Ctx.createStmt<BlockStmt>(std::move(Inner), Loc);
   }
   auto *Finish = Ctx.createStmt<FinishStmt>(Body, Loc);
   Finish->setSynthesized(true);
   auto &Stmts = B->stmts();
   Stmts.erase(Stmts.begin() + Begin, Stmts.begin() + End + 1);
   Stmts.insert(Stmts.begin() + Begin, Finish);
-  if (Edits)
-    Edits->noteBlockWrap(Finish, B, First, Last, NewBody);
   return Finish;
 }
 

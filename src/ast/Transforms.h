@@ -16,13 +16,6 @@
 ///  * wrapInFinish    — wraps a statement range of a block in a new finish;
 ///                      the primitive the static finish placement uses.
 ///
-/// Finish insertions can be *observed* through a FinishEditSink: each
-/// insertion reports the new FinishStmt and the statement range it wraps.
-/// The trace subsystem accumulates these reports in a FinishEditMap so a
-/// recorded execution event stream can be replayed against the edited
-/// program (owner pointers remapped through the map, finish enter/exit
-/// events synthesized at the wrapped boundaries) without re-interpreting.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef TDR_AST_TRANSFORMS_H
@@ -32,77 +25,11 @@
 
 #include <cstddef>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 namespace tdr {
 
 class AstContext;
-
-/// Observer of finish insertions. The two callbacks mirror the two edit
-/// shapes the repair pipeline produces:
-///
-///  * a *block wrap* (wrapInFinish): children [First..Last] of Parent move
-///    under the new finish — into a synthesized body block (NewBody) when
-///    the range has more than one statement, directly as the finish body
-///    otherwise;
-///  * a *slot wrap* (StaticPlacer deep/body wraps): the occupant of a
-///    structured statement's body slot (if/while/for/async/finish) is
-///    wrapped, SlotOwner being the structured statement.
-class FinishEditSink {
-public:
-  virtual ~FinishEditSink() = default;
-  virtual void noteBlockWrap(FinishStmt *F, BlockStmt *Parent, Stmt *First,
-                             Stmt *Last, BlockStmt *NewBody) = 0;
-  virtual void noteSlotWrap(FinishStmt *F, Stmt *SlotOwner, Stmt *Wrapped) = 0;
-};
-
-/// One recorded finish insertion (see FinishEditSink for field meaning).
-/// Exactly one of Parent / SlotOwner is set.
-struct FinishEdit {
-  FinishStmt *Finish = nullptr;
-  BlockStmt *Parent = nullptr;
-  Stmt *SlotOwner = nullptr;
-  Stmt *First = nullptr;      ///< first wrapped statement
-  Stmt *Last = nullptr;       ///< last wrapped statement (== First if single)
-  BlockStmt *NewBody = nullptr; ///< synthesized body block (multi-stmt wraps)
-};
-
-/// Accumulates finish insertions applied after some baseline (a recorded
-/// trace). Membership queries answer "is this statement *new* relative to
-/// the baseline" — the question the replayer asks; the `synthesized` AST
-/// flag cannot answer it because a baseline recorded mid-repair already
-/// contains synthesized finishes.
-class FinishEditMap final : public FinishEditSink {
-public:
-  void noteBlockWrap(FinishStmt *F, BlockStmt *Parent, Stmt *First,
-                     Stmt *Last, BlockStmt *NewBody) override {
-    Edits.push_back({F, Parent, nullptr, First, Last, NewBody});
-    NewFinishes.insert(F);
-    if (NewBody)
-      NewBlocks.insert(NewBody);
-  }
-  void noteSlotWrap(FinishStmt *F, Stmt *SlotOwner, Stmt *Wrapped) override {
-    Edits.push_back({F, nullptr, SlotOwner, Wrapped, Wrapped, nullptr});
-    NewFinishes.insert(F);
-  }
-
-  bool isNewFinish(const Stmt *S) const { return NewFinishes.count(S) != 0; }
-  bool isNewBlock(const Stmt *S) const { return NewBlocks.count(S) != 0; }
-
-  const std::vector<FinishEdit> &edits() const { return Edits; }
-  bool empty() const { return Edits.empty(); }
-  void clear() {
-    Edits.clear();
-    NewFinishes.clear();
-    NewBlocks.clear();
-  }
-
-private:
-  std::vector<FinishEdit> Edits;
-  std::unordered_set<const Stmt *> NewFinishes;
-  std::unordered_set<const Stmt *> NewBlocks;
-};
 
 /// Removes every finish statement from \p P (each finish is replaced by its
 /// body). Returns the number of finishes removed.
@@ -114,15 +41,12 @@ unsigned elideParallelism(Program &P);
 
 /// Wraps statements [Begin, End] (inclusive indices) of \p B in a new
 /// finish statement, marked synthesized. The finish body is the single
-/// statement when Begin == End, otherwise a new block. Reports the edit to
-/// \p Edits when non-null. Returns the finish.
+/// statement when Begin == End, otherwise a new block. Returns the finish.
 FinishStmt *wrapInFinish(AstContext &Ctx, BlockStmt *B, size_t Begin,
-                         size_t End, FinishEditSink *Edits = nullptr);
+                         size_t End);
 
 /// Wraps statement \p Index of \p B in a new isolated section, marked
-/// synthesized. Unlike finish insertion this edit is not replayable (it
-/// changes the event stream), so there is no edit-sink channel; callers
-/// must invalidate any recorded trace. Returns the isolated statement.
+/// synthesized. Returns the isolated statement.
 IsolatedStmt *wrapInIsolated(AstContext &Ctx, BlockStmt *B, size_t Index);
 
 /// Desugars every forasync loop in \p P into its chunked async/finish-core

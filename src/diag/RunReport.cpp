@@ -212,9 +212,8 @@ void appendJob(std::string &Out, const JobReport &J) {
       Out += ',';
     Out += "\n    {\"iteration\":";
     appendUInt(Out, It.Iteration);
-    Out += ",\"replayed\":";
-    Out += It.Replayed ? "true" : "false";
-    Out += ",\"witnesses\":[";
+    // Every detection run interprets; the v3 schema keeps the flag.
+    Out += ",\"replayed\":false,\"witnesses\":[";
     for (size_t K = 0; K != It.Witnesses.size(); ++K) {
       if (K)
         Out += ',';
@@ -291,6 +290,8 @@ DpstKind parseDpstKind(const std::string &S) {
     return DpstKind::Scope;
   if (S == "step")
     return DpstKind::Step;
+  if (S == "future")
+    return DpstKind::Future;
   return DpstKind::Root;
 }
 

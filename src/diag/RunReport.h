@@ -92,7 +92,6 @@ struct FinishProvenance {
 /// One detection run's worth of explanations.
 struct IterationDiag {
   unsigned Iteration = 0;
-  bool Replayed = false; ///< detection replayed the recorded log
   std::vector<RaceWitness> Witnesses;
 };
 

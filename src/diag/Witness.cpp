@@ -11,8 +11,6 @@
 #include "obs/Metrics.h"
 #include "support/SourceManager.h"
 #include "support/StringUtils.h"
-#include "trace/EventLog.h"
-#include "trace/Replay.h"
 
 #include <unordered_map>
 
@@ -43,6 +41,8 @@ const char *diag::dpstKindName(DpstKind K) {
     return "scope";
   case DpstKind::Step:
     return "step";
+  case DpstKind::Future:
+    return "future";
   }
   return "?";
 }
@@ -81,61 +81,62 @@ struct SiteVal {
 
 using SiteMap = std::unordered_map<SiteKey, SiteVal, SiteKeyHash>;
 
-/// Replays the recorded event stream through a scratch DpstBuilder to
-/// recover, for each wanted (step, location, kind), the innermost
-/// statement executing when the access happened. Forwards every event to
-/// the builder exactly the way the fused detection monitor does (incl.
-/// calling currentStep() per access), so scratch node ids reproduce the
-/// detection tree's ids.
-class SiteLocator final : public ExecMonitor {
+/// A scratch DpstBuilder that also recovers, for each wanted (step,
+/// location, kind), the innermost statement executing when the access
+/// happened. It sees the same event stream as the detection's builder and
+/// calls currentStep() per access the way the detectors do, so scratch
+/// node ids reproduce the detection tree's ids.
+class SiteLocator final : public DpstBuilder {
 public:
-  SiteLocator(DpstBuilder &B, SiteMap &Sites) : B(B), Sites(Sites) {}
+  SiteLocator(Dpst &Tree, SiteMap &Sites) : DpstBuilder(Tree), Sites(Sites) {}
 
-  void onAsyncEnter(const AsyncStmt *S, const Stmt *Owner) override {
-    B.onAsyncEnter(S, Owner);
-  }
-  void onAsyncExit(const AsyncStmt *S) override { B.onAsyncExit(S); }
-  void onFinishEnter(const FinishStmt *S, const Stmt *Owner) override {
-    B.onFinishEnter(S, Owner);
-  }
-  void onFinishExit(const FinishStmt *S) override { B.onFinishExit(S); }
   void onScopeEnter(ScopeKind K, const Stmt *Owner, const BlockStmt *Body,
                     const FuncDecl *Callee) override {
-    B.onScopeEnter(K, Owner, Body, Callee);
+    DpstBuilder::onScopeEnter(K, Owner, Body, Callee);
     // An access after the scope returns (e.g. the rest of a call
     // expression) belongs to the suspended outer statement again.
     OwnerStack.push_back(CurOwner);
   }
   void onScopeExit() override {
-    B.onScopeExit();
+    DpstBuilder::onScopeExit();
     if (!OwnerStack.empty()) {
       CurOwner = OwnerStack.back();
       OwnerStack.pop_back();
     }
   }
   void onStepPoint(const Stmt *Owner) override {
-    B.onStepPoint(Owner);
+    DpstBuilder::onStepPoint(Owner);
     CurOwner = Owner;
   }
-  void onWork(uint64_t Units) override { B.onWork(Units); }
   void onRead(MemLoc L) override { record(L, AccessKind::Read); }
   void onWrite(MemLoc L) override { record(L, AccessKind::Write); }
 
 private:
   void record(MemLoc L, AccessKind K) {
-    DpstNode *Step = B.currentStep();
+    DpstNode *Step = currentStep();
     auto It = Sites.find(SiteKey{Step->id(), K, L});
     if (It != Sites.end() && !It->second.Set)
       It->second = SiteVal{CurOwner, true};
   }
 
-  DpstBuilder &B;
   SiteMap &Sites;
   const Stmt *CurOwner = nullptr;
   std::vector<const Stmt *> OwnerStack;
 };
 
 SourceLoc stmtLoc(const Stmt *S) { return S ? S->loc() : SourceLoc(); }
+
+/// The statement that created an async, future or finish node; null for
+/// the root.
+const Stmt *taskStmt(const DpstNode *N) {
+  if (N->isAsync())
+    return N->asyncStmt();
+  if (N->isFuture())
+    return N->futureStmt();
+  if (N->isFinish())
+    return N->finishStmt();
+  return nullptr;
+}
 
 AccessDesc describeAccess(const DpstNode *Step, AccessKind Kind, MemLoc Loc,
                           const SiteMap &Sites, const SourceManager *SM) {
@@ -159,10 +160,7 @@ std::vector<SpineEntry> taskSpine(const DpstNode *Step,
     SpineEntry E;
     E.Id = N->id();
     E.Kind = N->kind();
-    if (N->isAsync())
-      E.Pos = resolvePos(SM, stmtLoc(N->asyncStmt()));
-    else if (N->isFinish())
-      E.Pos = resolvePos(SM, stmtLoc(N->finishStmt()));
+    E.Pos = resolvePos(SM, stmtLoc(taskStmt(N)));
     Out.push_back(std::move(E));
   }
   return Out;
@@ -173,14 +171,14 @@ std::vector<SpineEntry> taskSpine(const DpstNode *Step,
 std::vector<RaceWitness> diag::buildWitnesses(const Dpst &Tree,
                                               const RaceReport &Report,
                                               const SourceManager *SM,
-                                              const trace::EventLog *Log,
-                                              const trace::ReplayPlan *Plan) {
+                                              const Program *P,
+                                              ExecOptions Exec) {
   std::vector<RaceWitness> Out;
   if (Report.Pairs.empty())
     return Out;
 
   SiteMap Sites;
-  if (Log) {
+  if (P) {
     for (const RacePair &R : Report.Pairs) {
       Sites.try_emplace(SiteKey{R.Src->id(), R.SrcKind, R.Loc});
       Sites.try_emplace(SiteKey{R.Snk->id(), R.SnkKind, R.Loc});
@@ -190,10 +188,9 @@ std::vector<RaceWitness> diag::buildWitnesses(const Dpst &Tree,
     obs::MetricsRegistry Scratch;
     obs::ScopedMetrics Guard(Scratch);
     Dpst ScratchTree;
-    DpstBuilder Builder(ScratchTree);
-    SiteLocator Locator(Builder, Sites);
-    trace::ReplayPlan Empty;
-    trace::replayEvents(*Log, Plan ? *Plan : Empty, Locator);
+    SiteLocator Locator(ScratchTree, Sites);
+    Exec.Monitor = &Locator;
+    runProgram(*P, std::move(Exec));
   }
 
   Out.reserve(Report.Pairs.size());
@@ -208,14 +205,15 @@ std::vector<RaceWitness> diag::buildWitnesses(const Dpst &Tree,
     W.LcaKind = Lca->kind();
 
     // Theorem 1: the (earlier-side) non-scope child of the NS-LCA is the
-    // async whose lack of a join leaves the two steps unordered.
+    // task (async or future) whose lack of a join leaves the two steps
+    // unordered.
     const DpstNode *Earlier =
         Tree.isLeftOf(R.Src, R.Snk) ? R.Src : R.Snk;
     const DpstNode *Edge = Tree.nonScopeChildToward(Lca, Earlier);
-    if (Edge && Edge->isAsync()) {
+    if (Edge && Edge->isTaskNode()) {
       W.HasBreakingAsync = true;
       W.BreakingAsyncId = Edge->id();
-      W.BreakingAsyncPos = resolvePos(SM, stmtLoc(Edge->asyncStmt()));
+      W.BreakingAsyncPos = resolvePos(SM, stmtLoc(taskStmt(Edge)));
     }
 
     W.SrcSpine = taskSpine(R.Src, SM);
@@ -245,6 +243,16 @@ void appendExcerpt(std::string &Out, const SourcePos &P, bool Color) {
   Out += '^';
   Out += sgr(Color, "\033[0m");
   Out += '\n';
+}
+
+/// Kind name of the witness's breaking task (async or future), read off
+/// the spine that passes through it.
+const char *breakingTaskName(const RaceWitness &W) {
+  for (const std::vector<SpineEntry> *Spine : {&W.SrcSpine, &W.SnkSpine})
+    for (const SpineEntry &E : *Spine)
+      if (E.Id == W.BreakingAsyncId)
+        return dpstKindName(E.Kind);
+  return "async";
 }
 
 std::string posStr(const SourcePos &P) {
@@ -289,9 +297,10 @@ std::string diag::renderWitnessText(const RaceWitness &W, bool Color) {
                    dpstKindName(W.LcaKind), W.LcaId);
   if (W.HasBreakingAsync) {
     Out += strFormat(
-        "; async#%u (at %s) escapes it unjoined, so no happens-before "
+        "; %s#%u (at %s) escapes it unjoined, so no happens-before "
         "edge orders the accesses\n",
-        W.BreakingAsyncId, posStr(W.BreakingAsyncPos).c_str());
+        breakingTaskName(W), W.BreakingAsyncId,
+        posStr(W.BreakingAsyncPos).c_str());
   } else {
     Out += "; no breaking async found (pair appears ordered)\n";
   }

@@ -15,17 +15,18 @@
 ///    the step to the root, i.e. "how execution got there";
 ///  * the NS-LCA of the two steps and the *breaking async edge*: by
 ///    Theorem 1 (Raman et al.), two steps may run in parallel iff the
-///    non-scope child of their NS-LCA toward the earlier step is an async
-///    — that async, unjoined at the NS-LCA, is the structural reason no
-///    happens-before edge orders the accesses, and wrapping it in a
-///    finish is exactly what the repair will do.
+///    non-scope child of their NS-LCA toward the earlier step is a task
+///    node (an async or a future) — that task, unjoined at the NS-LCA, is
+///    the structural reason no happens-before edge orders the accesses,
+///    and wrapping it in a finish is exactly what the repair will do.
 ///
-/// Access positions are refined through the recorded trace: detectors
-/// attribute an access to a *step*, but a step spans several statements.
-/// buildWitnesses replays the event log through a scratch DPST builder
-/// (same plan as the detection run, so node ids line up) and captures the
-/// innermost statement executing at each racing access. Without a log it
-/// falls back to the step's first owner statement.
+/// Access positions are refined by re-interpretation: detectors attribute
+/// an access to a *step*, but a step spans several statements.
+/// buildWitnesses interprets the program once more on the same input
+/// under a scratch DPST builder (same event stream as the detection run,
+/// so node ids line up) and captures the innermost statement executing at
+/// each racing access. Without a program it falls back to the step's first
+/// owner statement.
 ///
 /// A witness holds only resolved plain data (ids, positions, line text) —
 /// no AST or DPST pointers — so it stays valid after the per-job contexts
@@ -37,6 +38,7 @@
 #define TDR_DIAG_WITNESS_H
 
 #include "dpst/Dpst.h"
+#include "interp/Interpreter.h"
 #include "race/RaceReport.h"
 #include "support/SourceLoc.h"
 
@@ -46,11 +48,6 @@
 namespace tdr {
 
 class SourceManager;
-
-namespace trace {
-class EventLog;
-struct ReplayPlan;
-} // namespace trace
 
 namespace diag {
 
@@ -74,7 +71,7 @@ struct AccessDesc {
   SourcePos Pos; ///< the statement executing at the access
 };
 
-/// One async/finish/root node on the path from a step to the root.
+/// One async/future/finish/root node on the path from a step to the root.
 struct SpineEntry {
   uint32_t Id = 0;
   DpstKind Kind = DpstKind::Root;
@@ -88,9 +85,10 @@ struct RaceWitness {
   AccessDesc Snk;       ///< later access
   uint32_t LcaId = 0;   ///< NS-LCA node of the two steps
   DpstKind LcaKind = DpstKind::Root;
-  /// Theorem-1 evidence: the async child of the NS-LCA toward the earlier
-  /// step. Always present for a true race; HasBreakingAsync false would
-  /// mean the pair is ordered (a detector bug a validator can flag).
+  /// Theorem-1 evidence: the task child (async or future) of the NS-LCA
+  /// toward the earlier step. Always present for a true race;
+  /// HasBreakingAsync false would mean the pair is ordered (a detector bug
+  /// a validator can flag).
   bool HasBreakingAsync = false;
   uint32_t BreakingAsyncId = 0;
   SourcePos BreakingAsyncPos;
@@ -98,16 +96,16 @@ struct RaceWitness {
   std::vector<SpineEntry> SnkSpine;
 };
 
-/// Reconstructs a witness per report pair. \p Log + \p Plan (the event
-/// log the detection consumed and the replay plan it ran under; Plan may
-/// be null for an unedited log) enable per-access site refinement; with
-/// a null \p Log positions degrade to each step's owner statement. Order
+/// Reconstructs a witness per report pair. \p P and \p Exec (the program
+/// and input the detection ran, unedited since) enable per-access site
+/// refinement by re-interpreting \p P; Exec.Monitor is ignored. With a
+/// null \p P positions degrade to each step's owner statement. Order
 /// follows Report.Pairs, so witnesses inherit the report's determinism.
 std::vector<RaceWitness> buildWitnesses(const Dpst &Tree,
                                         const RaceReport &Report,
                                         const SourceManager *SM,
-                                        const trace::EventLog *Log = nullptr,
-                                        const trace::ReplayPlan *Plan = nullptr);
+                                        const Program *P = nullptr,
+                                        ExecOptions Exec = ExecOptions());
 
 /// Lowercase display names ("async", "write", ...).
 const char *dpstKindName(DpstKind K);

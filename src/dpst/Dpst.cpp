@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cassert>
 #include <iterator>
+#include <unordered_map>
 
 using namespace tdr;
 
@@ -261,59 +262,90 @@ uint64_t Dpst::subtreeWork(const DpstNode *N) const {
 }
 
 namespace {
-/// Recursive completion-time evaluation. Returns the pair (SerialEnd,
-/// Pending): SerialEnd is when the node's own sequential thread finishes,
-/// relative to its start; Pending is the completion offset of spawned-and-
-/// not-yet-joined asyncs.
-struct CplResult {
-  uint64_t SerialEnd;
-  uint64_t Pending;
-};
+/// Recursive completion-time evaluation. walk() returns the pair
+/// (SerialEnd, Pending) in absolute time: SerialEnd is when the node's own
+/// sequential thread finishes, Pending the latest completion of spawned-
+/// and-not-yet-joined tasks. A force joins the future it names, like the
+/// force edges of buildCompGraph: a step starts no earlier than every
+/// future in its forced set (Dpst::forced) completes. A future outside the
+/// walked subtree counts as complete before the walk starts.
+class CplWalker {
+public:
+  struct Result {
+    uint64_t SerialEnd;
+    uint64_t Pending;
+  };
 
-CplResult cplWalk(const Dpst &Tree, const DpstNode *N) {
-  uint64_t Cur = 0;
-  uint64_t Pending = 0;
-  for (const DpstNode *C : Tree.children(N)) {
-    switch (C->kind()) {
-    case DpstKind::Step:
-      Cur += C->weight();
-      break;
-    case DpstKind::Scope: {
-      CplResult R = cplWalk(Tree, C);
-      Pending = std::max(Pending, Cur + R.Pending);
-      Cur += R.SerialEnd;
-      break;
+  explicit CplWalker(const Dpst &Tree) : Tree(Tree) {}
+
+  Result walk(const DpstNode *N, uint64_t Start) {
+    uint64_t Cur = Start;
+    uint64_t Pending = Start;
+    for (const DpstNode *C : Tree.children(N)) {
+      switch (C->kind()) {
+      case DpstKind::Step:
+        Cur = std::max(Cur, forcedDone(C)) + C->weight();
+        break;
+      case DpstKind::Scope: {
+        Result R = walk(C, Cur);
+        Pending = std::max(Pending, R.Pending);
+        Cur = R.SerialEnd;
+        break;
+      }
+      case DpstKind::Async: {
+        // The child task runs concurrently from the spawn point.
+        Result R = walk(C, Cur);
+        Pending = std::max({Pending, R.SerialEnd, R.Pending});
+        break;
+      }
+      case DpstKind::Future: {
+        // A future runs concurrently like an async; its implicit finish
+        // folds internal pending work into its own completion time.
+        Result R = walk(C, Cur);
+        uint64_t End = std::max(R.SerialEnd, R.Pending);
+        FutureDone[C->futureId()] = End;
+        Pending = std::max(Pending, End);
+        break;
+      }
+      case DpstKind::Finish: {
+        // The parent resumes only after everything inside completes.
+        Result R = walk(C, Cur);
+        Cur = std::max(R.SerialEnd, R.Pending);
+        break;
+      }
+      case DpstKind::Root:
+        assert(false && "root cannot be a child");
+        break;
+      }
     }
-    case DpstKind::Async: {
-      CplResult R = cplWalk(Tree, C);
-      // The child task runs concurrently from the spawn point.
-      Pending = std::max({Pending, Cur + R.SerialEnd, Cur + R.Pending});
-      break;
-    }
-    case DpstKind::Future: {
-      CplResult R = cplWalk(Tree, C);
-      // A future runs concurrently like an async, but its implicit finish
-      // folds internal pending work into its own completion time.
-      Pending = std::max(Pending, Cur + std::max(R.SerialEnd, R.Pending));
-      break;
-    }
-    case DpstKind::Finish: {
-      CplResult R = cplWalk(Tree, C);
-      // The parent resumes only after everything inside completes.
-      Cur += std::max(R.SerialEnd, R.Pending);
-      break;
-    }
-    case DpstKind::Root:
-      assert(false && "root cannot be a child");
-      break;
-    }
+    return {Cur, Pending};
   }
-  return {Cur, Pending};
-}
+
+private:
+  /// Latest completion of the futures \p Step's forced set names. Every
+  /// such future precedes the step in preorder, so its time is known; the
+  /// result is memoized per interned set.
+  uint64_t forcedDone(const DpstNode *Step) {
+    const std::vector<uint32_t> *F = Tree.forced(Step);
+    if (!F)
+      return 0;
+    auto [It, Inserted] = SetDone.try_emplace(F, 0);
+    if (Inserted)
+      for (uint32_t Fid : *F)
+        if (auto D = FutureDone.find(Fid); D != FutureDone.end())
+          It->second = std::max(It->second, D->second);
+    return It->second;
+  }
+
+  const Dpst &Tree;
+  /// Per dynamic future id: its absolute completion time.
+  std::unordered_map<uint32_t, uint64_t> FutureDone;
+  std::unordered_map<const std::vector<uint32_t> *, uint64_t> SetDone;
+};
 } // namespace
 
 uint64_t Dpst::subtreeCpl(const DpstNode *N) const {
-  CplResult R = cplWalk(*this, N);
+  CplWalker::Result R = CplWalker(*this).walk(N, 0);
   return std::max(R.SerialEnd, R.Pending);
 }
 

@@ -335,6 +335,8 @@ public:
   /// Critical path length of the subtree rooted at \p N assuming the node
   /// itself joins all its descendants (i.e. the completion time of N when
   /// started at time 0 and followed by a join of everything it spawned).
+  /// A step waits for the futures its forced set names, as in the DAG of
+  /// buildCompGraph; futures outside the subtree count as already done.
   uint64_t subtreeCpl(const DpstNode *N) const;
 
   /// Graphviz dump (small trees; tests and debugging).

@@ -8,7 +8,7 @@
 /// The `tdr fuzz` engine: generates seeded random HJ-mini programs on the
 /// src/batch worker pool, runs each through the differential oracle
 /// (ESP-bags fresh and replayed in both shadow modes, checked against the
-/// Theorem-1 reference, and the repair loop with and without replay — see
+/// Theorem-1 reference, and the repair loop's convergence — see
 /// Oracle.h), delta-minimizes every finding with
 /// the ddmin reducer (Reduce.h), and persists minimized reproducers as
 /// trophies (Trophy.h). The run is deterministic for a fixed seed:

@@ -7,8 +7,8 @@
 /// \file
 /// The failure predicate of the fuzz farm: runs one HJ-mini program
 /// through ESP-bags (both modes, fresh and replayed), the Theorem-1
-/// reference detector, and the repair loop (replaying and interpreting),
-/// and reports any disagreement as a typed Finding. This is the
+/// reference detector, and the repair loop, and reports any disagreement
+/// or unconverged repair as a typed Finding. This is the
 /// industrialized form of the loops in race_test / shadow_diff_test /
 /// trace_replay_test — one call answers "does the whole detection and
 /// repair stack agree with itself on this program?", which makes it
@@ -45,9 +45,9 @@ enum class FindingKind : uint8_t {
   /// A replayed detection's report differs from the fresh report of the
   /// recorded execution.
   ReplayDivergence,
-  /// The repair loop's outcome (success flag, error, or repaired text)
-  /// differs between the replaying loop and the interpret-every-time loop
-  /// (RepairOptions::UseReplay = false, the --no-replay path).
+  /// Two repair loops disagreed on the outcome. No leg produces it since
+  /// the repair loop has a single detection path; the kind stays so
+  /// trophies filed under it still load.
   RepairDisagree,
   /// A repair reported success but the repaired program is malformed,
   /// fails to execute, or still races.
@@ -64,8 +64,8 @@ bool parseFindingKind(std::string_view Name, FindingKind &Out);
 
 /// Which combinations the oracle runs.
 struct OracleConfig {
-  /// Run the repair loop with and without replay and require identical
-  /// outcomes plus convergence to a race-free program.
+  /// Run the repair loop and require a successful repair to converge to a
+  /// race-free program.
   bool CheckRepair = true;
   /// Repair with the full construct vocabulary (finish, future, isolated)
   /// instead of the default allowlist.
@@ -76,7 +76,7 @@ struct OracleConfig {
 struct Finding {
   FindingKind Kind = FindingKind::BackendMismatch;
   /// The combination that diverged, e.g. "mrw/oracle/fresh" or
-  /// "repair/no-replay".
+  /// "repair/verify".
   std::string Config;
   /// Human-readable summary.
   std::string Detail;

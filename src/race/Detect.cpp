@@ -72,15 +72,14 @@ Detection liveDetect(const Program &P, ExecOptions Exec, ArgsT... Args) {
 
 /// One log-backed detection with detector \p DetectorT.
 template <typename DetectorT, typename... ArgsT>
-Detection replayDetect(const trace::InputTrace &T,
-                       const trace::ReplayPlan &Plan, ArgsT... Args) {
+Detection replayDetect(const trace::InputTrace &T, ArgsT... Args) {
   Detection D;
   D.Tree = std::make_unique<Dpst>();
   DpstBuilder Builder(*D.Tree);
   DetectorT Detector(Args..., Builder);
   FusedDetectMonitor<DetectorT> Fused(Builder, Detector);
   Timer ReplayTimer;
-  trace::replayEvents(T.Log, Plan, Fused);
+  trace::replayEvents(T.Log, Fused);
   obs::histogram("trace.replay_ms").observe(ReplayTimer.elapsedMs());
   D.Exec = T.Exec;
   D.Report = Detector.takeReport();
@@ -98,15 +97,14 @@ Detection replayDetect(const trace::InputTrace &T,
 /// verdict escapes. A mismatch fails the detection the way a run-time
 /// error would, so every caller (repair loop, CLI, tests) surfaces it.
 void crossCheckOracle(Detection &D, EspBagsDetector::Mode Mode,
-                      const trace::InputTrace &T,
-                      const trace::ReplayPlan &Plan) {
+                      const trace::InputTrace &T) {
   obs::ScopedSpan Span(obs::phase::DetectOracleCheck);
   obs::counter("detect.backend_checks").inc();
   bool Agree;
   {
     obs::MetricsRegistry Scratch;
     obs::ScopedMetrics Scoped(Scratch);
-    Detection O = replayDetect<OracleDetector>(T, Plan);
+    Detection O = replayDetect<OracleDetector>(T);
     Agree = Mode == EspBagsDetector::Mode::MRW
                 ? renderRaceReportKey(O.Report) ==
                       renderRaceReportKey(D.Report)
@@ -133,8 +131,7 @@ Detection tdr::detectRaces(const Program &P, const DetectOptions &Opts,
     return D;
   }
   // Oracle check on a live run: record the event stream alongside the
-  // primary detection so the oracle replays the exact same events (an
-  // empty plan re-emits the log verbatim).
+  // primary detection so the oracle replays the exact same events.
   trace::InputTrace T;
   trace::RecorderMonitor Recorder(T.Log);
   MonitorPipeline Pipeline;
@@ -149,7 +146,7 @@ Detection tdr::detectRaces(const Program &P, const DetectOptions &Opts,
   Recorder.flush();
   T.Exec = D.Exec;
   if (D.Exec.Ok)
-    crossCheckOracle(D, Opts.Mode, T, trace::ReplayPlan());
+    crossCheckOracle(D, Opts.Mode, T);
   publishDetection(D);
   return D;
 }
@@ -161,13 +158,13 @@ Detection tdr::detectRaces(const Program &P, EspBagsDetector::Mode Mode,
 
 Detection tdr::detectRaces(const Program &, const DetectOptions &Opts,
                            const trace::InputTrace &T,
-                           const trace::ReplayPlan &Plan) {
+                           const trace::ReplayPlan &) {
   obs::ScopedSpan Span(obs::phase::DetectReplay);
   obs::counter("detect.runs").inc();
   obs::counter("detect.replays").inc();
-  Detection D = replayDetect<EspBagsDetector>(T, Plan, Opts.Mode);
+  Detection D = replayDetect<EspBagsDetector>(T, Opts.Mode);
   if (D.Exec.Ok && backendCheckEnv())
-    crossCheckOracle(D, Opts.Mode, T, Plan);
+    crossCheckOracle(D, Opts.Mode, T);
   publishDetection(D);
   return D;
 }
@@ -179,10 +176,10 @@ Detection tdr::detectRaces(const Program &P, EspBagsDetector::Mode Mode,
 }
 
 Detection tdr::detectRacesOracle(const Program &, const trace::InputTrace &T,
-                                 const trace::ReplayPlan &Plan) {
+                                 const trace::ReplayPlan &) {
   obs::ScopedSpan Span(obs::phase::DetectOracleReplay);
   obs::counter("detect.replays").inc();
-  Detection D = replayDetect<OracleDetector>(T, Plan);
+  Detection D = replayDetect<OracleDetector>(T);
   publishDetection(D);
   return D;
 }

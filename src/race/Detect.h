@@ -19,8 +19,7 @@
 /// oracle (off the metrics books, so counter-exact tests are unaffected).
 /// In MRW mode the two reports must render byte-identically; in SRW mode
 /// the ESP-bags pair set must be a subset of the oracle's (see
-/// srwConsistentWith). This mirrors the TDR_REPLAY_CHECK mechanism for
-/// replayed-vs-fresh runs.
+/// srwConsistentWith).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -158,11 +157,11 @@ Detection detectRaces(const Program &P,
 /// validation only).
 Detection detectRacesOracle(const Program &P, ExecOptions Exec = ExecOptions());
 
-/// Log-backed detection: instead of interpreting, re-feeds the recorded
-/// event stream in \p T through the builder + detector, remapped through
-/// \p Plan (see trace/Replay.h) so the stream matches the current, edited
-/// AST. Detection.Exec is the recorded outcome — valid because finish
-/// insertion cannot change the sequential execution (serial elision).
+/// Log-backed detection: instead of interpreting, re-feeds the event
+/// stream recorded in \p T verbatim through the builder + detector
+/// (\p Plan is the empty identity plan, see trace/Replay.h), so \p T must
+/// have been recorded from \p P as it is now. Detection.Exec is the
+/// recorded outcome.
 Detection detectRaces(const Program &P, const DetectOptions &Opts,
                       const trace::InputTrace &T,
                       const trace::ReplayPlan &Plan);
@@ -191,8 +190,9 @@ bool srwConsistentWith(const RaceReport &Srw, const Detection &Mrw);
 
 /// Stable textual rendering of a report — step ids, locations, access
 /// kinds, raw count — used for the byte-identical replayed-vs-fresh
-/// comparison (TDR_REPLAY_CHECK) and the ESP-bags-vs-oracle comparison
-/// (TDR_BACKEND_CHECK; mirrors the RefDetectors differential pattern).
+/// comparison (the fuzz oracle's replay-divergence leg) and the
+/// ESP-bags-vs-oracle comparison (TDR_BACKEND_CHECK; mirrors the
+/// RefDetectors differential pattern).
 /// Detector-agnostic: it reads only RaceReport, and node ids are creation-
 /// order indices, so identical event streams render identically across
 /// independent detection runs regardless of the detector that found the

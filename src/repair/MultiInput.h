@@ -56,20 +56,10 @@ struct MultiRepairResult {
 /// input reshaped the tree — so a final verification pass re-detects on
 /// every input and Success is claimed only when all of them come back
 /// race free.
-///
-/// Record-once / replay-many across the whole session: input i is
-/// interpreted exactly once (its event stream lands in entry i of the
-/// trace store); every later detection for that input — including the
-/// final verification pass — replays the log against the current edit
-/// map. Pass \p Store to keep the recorded logs alive after the call
-/// (coverage analysis reuses them); when null a call-local store is used.
-/// \p UseReplay = false restores the interpret-every-time behavior.
 MultiRepairResult repairProgramForInputs(Program &P, AstContext &Ctx,
                                          const std::vector<ExecOptions> &Inputs,
                                          EspBagsDetector::Mode Mode =
-                                             EspBagsDetector::Mode::MRW,
-                                         trace::TraceStore *Store = nullptr,
-                                         bool UseReplay = true);
+                                             EspBagsDetector::Mode::MRW);
 
 /// Coverage of one async site across a set of test inputs.
 struct AsyncSiteCoverage {
@@ -118,15 +108,6 @@ struct CoverageReport {
 /// CoverageReport::FailedInputs rather than silently skipped.
 CoverageReport analyzeTestCoverage(Program &P,
                                    const std::vector<ExecOptions> &Inputs);
-
-/// Like the above, but inputs with a recorded trace in \p Store are not
-/// re-run: their async-site counts are tallied straight from the recorded
-/// event log (an AsyncEnter per dynamic instance), and a recorded run-time
-/// failure surfaces as the same FailedInputs entry a fresh run would
-/// produce. Inputs without a recorded entry fall back to a fresh run.
-CoverageReport analyzeTestCoverage(Program &P,
-                                   const std::vector<ExecOptions> &Inputs,
-                                   const trace::TraceStore *Store);
 
 } // namespace tdr
 

@@ -17,19 +17,10 @@
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 using namespace tdr;
 
 namespace {
-
-/// TDR_REPLAY_CHECK in the environment (non-empty, not "0") forces the
-/// replayed-vs-fresh differential on every replayed detection — the
-/// whole-suite escape hatch (`TDR_REPLAY_CHECK=1 ctest`).
-bool replayCheckEnv() {
-  const char *V = std::getenv("TDR_REPLAY_CHECK");
-  return V && *V && !(V[0] == '0' && V[1] == '\0');
-}
 
 /// Rejected-placement records kept per group when collecting provenance
 /// (the DP probes O(n^2) ranges; reports only need a taste of why the
@@ -44,9 +35,6 @@ struct GroupApply {
   unsigned Finishes = 0;
   unsigned Forces = 0;
   unsigned Isolated = 0;
-  /// Some applied edit changed the event stream (the caller must drop
-  /// every recorded trace; see TraceStore::invalidateAll).
-  bool InvalidatesTrace = false;
   /// (Src, Snk) step pairs resolved by non-finish edits.
   std::vector<std::pair<const DpstNode *, const DpstNode *>> NonFinishResolved;
 
@@ -245,7 +233,6 @@ GroupApply solveGroup(const Dpst &Tree, const DepGroup &G,
         ++Out.Forces;
       else
         ++Out.Isolated;
-      Out.InvalidatesTrace |= A->InvalidatesTrace;
       for (size_t R = 0; R != G.Races.size(); ++R)
         if (G.RaceIdx[R] == std::make_pair(EC.X, EC.Y))
           Out.NonFinishResolved.push_back(
@@ -287,13 +274,11 @@ RepairResult tdr::repairProgram(Program &P, AstContext &Ctx,
   obs::Counter &CForces = Reg.counter("repair.forces_inserted");
   obs::Counter &CIsolated = Reg.counter("repair.isolated_inserted");
   obs::Counter &CInterps = Reg.counter("repair.interpretations");
-  obs::Counter &CReplays = Reg.counter("repair.replays");
   const uint64_t ItersBase = CIterations.value();
   const uint64_t FinishesBase = CFinishes.value();
   const uint64_t ForcesBase = CForces.value();
   const uint64_t IsolatedBase = CIsolated.value();
   const uint64_t InterpsBase = CInterps.value();
-  const uint64_t ReplaysBase = CReplays.value();
 
   RepairResult Result;
   RepairStats &Stats = Result.Stats;
@@ -306,7 +291,6 @@ RepairResult tdr::repairProgram(Program &P, AstContext &Ctx,
         static_cast<unsigned>(CIsolated.value() - IsolatedBase);
     Stats.Interpretations =
         static_cast<unsigned>(CInterps.value() - InterpsBase);
-    Stats.Replays = static_cast<unsigned>(CReplays.value() - ReplaysBase);
   };
 
   // A repair needs at least one detection run: with zero iterations even a
@@ -318,75 +302,12 @@ RepairResult tdr::repairProgram(Program &P, AstContext &Ctx,
     return Result;
   }
 
-  // Record-once / replay-many: the store owns the per-input event log and
-  // the finish edit map accumulated against it. A caller-provided store
-  // survives this call (multi-input repair); otherwise the trace lives and
-  // dies with this run.
-  trace::TraceStore LocalStore;
-  trace::TraceStore &Store = Opts.Store ? *Opts.Store : LocalStore;
-  const size_t Slot = Opts.Store ? Opts.InputIndex : 0;
-  const bool ReplayCheck = Opts.ReplayCheck || replayCheckEnv();
   const DetectOptions Detect{Opts.Mode};
 
   for (unsigned Iter = 0; Iter != Opts.MaxIterations; ++Iter) {
-    trace::TraceEntry &Entry = Store.entry(Slot);
     Timer DetectTimer;
-    Detection D;
-    // Witness-site refinement needs the event stream the detection saw
-    // and the plan it ran under (so the scratch tree's ids line up).
-    const trace::EventLog *WitLog = nullptr;
-    trace::ReplayPlan WitPlan;
-    bool Replayed = false;
-    if (Opts.UseReplay && Entry.Recorded) {
-      trace::ReplayPlan Plan = trace::buildReplayPlan(P, Entry.Edits);
-      D = detectRaces(P, Detect, Entry.Trace, Plan);
-      CReplays.inc();
-      Replayed = true;
-      if (Opts.CollectDiag) {
-        WitLog = &Entry.Trace.Log;
-        WitPlan = std::move(Plan);
-      }
-      if (ReplayCheck) {
-        // Differential escape hatch: interpret anyway and demand the
-        // replayed report be byte-identical (the caller's monitor is not
-        // re-fed — it already observed this execution once).
-        ExecOptions FreshExec = Opts.Exec;
-        FreshExec.Monitor = nullptr;
-        Detection Fresh = detectRaces(P, Detect, std::move(FreshExec));
-        if (renderRaceReportKey(D.Report) !=
-            renderRaceReportKey(Fresh.Report)) {
-          Result.Error = strFormat(
-              "replay/fresh detection mismatch at iteration %u", Iter);
-          return Result;
-        }
-      }
-    } else if (Opts.UseReplay) {
-      // First run for this input: interpret once, recording the full event
-      // stream so later iterations (and multi-input verification) replay.
-      Entry.reset();
-      trace::RecorderMonitor Recorder(Entry.Trace.Log);
-      ExecOptions Exec = Opts.Exec;
-      MonitorPipeline Pipeline;
-      if (Exec.Monitor) {
-        Pipeline.add(Exec.Monitor);
-        Pipeline.add(&Recorder);
-        Exec.Monitor = &Pipeline;
-      } else {
-        Exec.Monitor = &Recorder;
-      }
-      D = detectRaces(P, Detect, std::move(Exec));
-      Recorder.flush();
-      Entry.Trace.Exec = D.Exec;
-      // Recorded even when the input failed at run time: coverage analysis
-      // reuses the partial log and the recorded error.
-      Entry.Recorded = true;
-      CInterps.inc();
-      if (Opts.CollectDiag)
-        WitLog = &Entry.Trace.Log; // fresh recording: identity plan
-    } else {
-      D = detectRaces(P, Detect, Opts.Exec);
-      CInterps.inc();
-    }
+    Detection D = detectRaces(P, Detect, Opts.Exec);
+    CInterps.inc();
     double DetectMs = DetectTimer.elapsedMs();
     Stats.DetectMs.push_back(DetectMs);
     obs::histogram("repair.detect_ms").observe(DetectMs);
@@ -401,9 +322,8 @@ RepairResult tdr::repairProgram(Program &P, AstContext &Ctx,
     if (Opts.CollectDiag) {
       diag::IterationDiag ID;
       ID.Iteration = Iter;
-      ID.Replayed = Replayed;
-      ID.Witnesses = diag::buildWitnesses(*D.Tree, D.Report, Opts.SM, WitLog,
-                                          WitLog ? &WitPlan : nullptr);
+      ID.Witnesses =
+          diag::buildWitnesses(*D.Tree, D.Report, Opts.SM, &P, Opts.Exec);
       Result.Diag.Iterations.push_back(std::move(ID));
     }
     if (Iter == 0) {
@@ -422,15 +342,12 @@ RepairResult tdr::repairProgram(Program &P, AstContext &Ctx,
 
     Timer RepairTimer;
     obs::ScopedSpan PlaceSpan(obs::phase::Placement);
-    // Every AST edit is broadcast into the store so each recorded input's
-    // edit map stays in sync with the (shared) program.
-    StaticPlacer Placer(*D.Tree, Ctx, P, &Store);
+    StaticPlacer Placer(*D.Tree, Ctx, P);
     std::vector<RacePair> Pending = D.Report.Pairs;
 
     // Process NS-LCA groups deepest-first, regrouping after each since
     // inserted finishes can change the NS-LCA of remaining races.
     bool Progress = true;
-    bool InvalidateTraces = false;
     while (!Pending.empty() && Progress) {
       Progress = false;
       std::vector<DepGroup> Groups = buildDepGroups(*D.Tree, Pending);
@@ -441,12 +358,11 @@ RepairResult tdr::repairProgram(Program &P, AstContext &Ctx,
       CForces.inc(Applied.Forces);
       CIsolated.inc(Applied.Isolated);
       DeriveStats();
-      InvalidateTraces |= Applied.InvalidatesTrace;
 
       // Finish edits resolve races observably (the S-DPST gained join
       // nodes); force/isolated edits do not touch the tree, so their
       // resolved races are dropped by identity and the next detection run
-      // (on freshly recorded traces) is the ground truth.
+      // is the ground truth.
       size_t Before = Pending.size();
       Pending.erase(
           std::remove_if(
@@ -465,13 +381,6 @@ RepairResult tdr::repairProgram(Program &P, AstContext &Ctx,
     double RepairMs = RepairTimer.elapsedMs();
     Stats.RepairMs.push_back(RepairMs);
     obs::histogram("repair.repair_ms").observe(RepairMs);
-
-    // Force insertions and isolated wraps change the event stream itself
-    // (new force events; steps split by section boundaries), so no
-    // recorded log is replayable against the edited program. Drop them
-    // all; the next detection per input re-interprets and re-records.
-    if (InvalidateTraces)
-      Store.invalidateAll();
 
     if (!Pending.empty() && Stats.FinishesInserted + Stats.ForcesInserted +
                                     Stats.IsolatedInserted ==

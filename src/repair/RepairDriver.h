@@ -14,7 +14,9 @@
 /// the AST and replicated across the S-DPST, resolved races are dropped,
 /// and remaining races are regrouped (their NS-LCAs may have changed —
 /// paper step 3(f)). With the MRW detector one run normally suffices; with
-/// SRW the outer loop iterates (paper §7.3).
+/// SRW the outer loop iterates (paper §7.3). Every detection run interprets
+/// the current, edited program, so the last run of a successful repair is
+/// a fresh verification on the test input.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,28 +37,10 @@ struct RepairOptions {
   EspBagsDetector::Mode Mode = EspBagsDetector::Mode::MRW;
   ExecOptions Exec;            ///< the test input (args, seed, limits)
   unsigned MaxIterations = 8;  ///< outer detect/repair rounds (must be >= 1)
-  /// Record-once / replay-many: the first detection run interprets the
-  /// program and records its event stream; later iterations replay the
-  /// stream through the detector (owners remapped through the finish edit
-  /// map) instead of re-interpreting. Off = every iteration interprets
-  /// (the --no-replay escape hatch).
-  bool UseReplay = true;
-  /// Runs every replayed detection a second time, freshly interpreted,
-  /// and fails the repair unless the two ESP-bags reports are
-  /// byte-identical. Also enabled by the TDR_REPLAY_CHECK environment
-  /// variable. Independent of TDR_BACKEND_CHECK, which checks each
-  /// detection against the Theorem-1 oracle (see race/Detect.h).
-  bool ReplayCheck = false;
-  /// Optional shared trace store: the driver records into / replays from
-  /// entry InputIndex and broadcasts every AST edit to all recorded
-  /// entries (multi-input repair keeps one log per input alive across the
-  /// whole session). Null = a private store per repairProgram call.
-  trace::TraceStore *Store = nullptr;
-  size_t InputIndex = 0;
   /// Collect explainable diagnostics into RepairResult::Diag: one witness
   /// list per detection run (race witnesses with refined access sites) and
   /// one provenance record per inserted finish (the --report path). Off by
-  /// default — witness reconstruction replays the recorded log once more
+  /// default — witness reconstruction interprets the program once more
   /// per racy iteration.
   bool CollectDiag = false;
   /// Source manager used to resolve witness/provenance positions to
@@ -91,7 +75,9 @@ struct RepairStats {
   unsigned ForcesInserted = 0;   ///< `force(f);` statements inserted
   unsigned IsolatedInserted = 0; ///< `isolated { }` sections inserted
   unsigned Interpretations = 0; ///< detection runs that interpreted
-  unsigned Replays = 0;         ///< detection runs that replayed the log
+  /// Detection runs that replayed a recorded log: always 0, since every
+  /// run interprets. Kept because run reports and the perf harness read it.
+  unsigned Replays = 0;
 
   double totalDetectMs() const {
     double T = 0;

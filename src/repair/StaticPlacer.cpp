@@ -18,9 +18,8 @@ namespace {
 constexpr size_t Npos = static_cast<size_t>(-1);
 } // namespace
 
-StaticPlacer::StaticPlacer(Dpst &Tree, AstContext &Ctx, Program &Prog,
-                           FinishEditSink *Edits)
-    : Tree(Tree), Ctx(Ctx), Prog(Prog), Edits(Edits) {
+StaticPlacer::StaticPlacer(Dpst &Tree, AstContext &Ctx, Program &Prog)
+    : Tree(Tree), Ctx(Ctx), Prog(Prog) {
   indexProgram();
   indexTree();
 }
@@ -405,7 +404,7 @@ FinishStmt *StaticPlacer::applyEdit(const Edit &E) {
                                   static_cast<ptrdiff_t>(E.FirstIdx),
                               E.Block->stmts().begin() +
                                   static_cast<ptrdiff_t>(E.LastIdx) + 1);
-    FinishStmt *NF = wrapInFinish(Ctx, E.Block, E.FirstIdx, E.LastIdx, Edits);
+    FinishStmt *NF = wrapInFinish(Ctx, E.Block, E.FirstIdx, E.LastIdx);
     // Keep the parent map usable for later deep wraps.
     if (Moved.size() == 1) {
       Parents[Moved[0]] =
@@ -450,8 +449,6 @@ FinishStmt *StaticPlacer::applyEdit(const Edit &E) {
   }
   Parents[E.Wrapped] = ParentSlot{nullptr, NF, Edit::SlotKind::FinishBody};
   Parents[NF] = ParentSlot{nullptr, E.SlotOwner, E.Slot};
-  if (Edits)
-    Edits->noteSlotWrap(NF, E.SlotOwner, E.Wrapped);
   return NF;
 }
 
@@ -610,7 +607,6 @@ std::optional<AppliedRepair> StaticPlacer::applyForce(const DepGroup &G,
       It != BlockInstances.end()
           ? static_cast<unsigned>(It->second.size())
           : 1;
-  R.InvalidatesTrace = true;
   return R;
 }
 
@@ -694,7 +690,6 @@ StaticPlacer::applyIsolated(const DepGroup &G, uint32_t X, uint32_t Y) {
 
   AppliedRepair R;
   R.Construct = RepairConstruct::Isolated;
-  R.InvalidatesTrace = true;
   for (const IsolatedEdit::Site &Site : IE->Sites) {
     IsolatedStmt *Iso = wrapInIsolated(Ctx, Site.Block, Site.Index);
     Parents[Iso] = ParentSlot{Site.Block, nullptr, Edit::SlotKind::None};

@@ -45,8 +45,6 @@
 
 namespace tdr {
 
-class FinishEditSink;
-
 /// One applied finish repair, for reporting.
 struct AppliedFinish {
   FinishStmt *Stmt = nullptr;   ///< the synthesized statement
@@ -61,21 +59,13 @@ struct AppliedRepair {
   RepairConstruct Construct = RepairConstruct::Finish;
   SourceLoc AnchorLoc;           ///< pre-repair text position of the edit
   unsigned DynamicInstances = 0; ///< dynamic sites the edit covers
-  /// Force and isolated edits change the event stream (they are not
-  /// replayable finish-map edits), so the driver must invalidate recorded
-  /// traces after applying one.
-  bool InvalidatesTrace = false;
 };
 
 /// Performs static placement against one (program, S-DPST) pair. The
 /// program and tree are mutated by apply(); validity queries are pure.
 class StaticPlacer {
 public:
-  /// \p Edits, when non-null, observes every finish insertion apply()
-  /// performs (both block-range and body-slot wraps) so recorded traces
-  /// stay replayable against the edited program.
-  StaticPlacer(Dpst &Tree, AstContext &Ctx, Program &Prog,
-               FinishEditSink *Edits = nullptr);
+  StaticPlacer(Dpst &Tree, AstContext &Ctx, Program &Prog);
 
   /// DP validity oracle: can a finish be placed around graph nodes [I, K]
   /// of \p G and mapped back to the program?
@@ -198,7 +188,6 @@ private:
   Dpst &Tree;
   AstContext &Ctx;
   Program &Prog;
-  FinishEditSink *Edits = nullptr;
 
   /// All scope instances per container block (for replication).
   std::unordered_map<const BlockStmt *, std::vector<DpstNode *>>

@@ -12,6 +12,7 @@
 #include <cassert>
 #include <deque>
 #include <queue>
+#include <unordered_map>
 
 using namespace tdr;
 
@@ -26,9 +27,15 @@ public:
   struct WalkResult {
     std::vector<uint32_t> Exits;   ///< preds for the continuation
     std::vector<uint32_t> Pending; ///< exits of spawned, unjoined tasks
+    /// The last forced set joined into Exits (see joinForced).
+    const std::vector<uint32_t> *Joined = nullptr;
   };
 
-  WalkResult walk(const DpstNode *N, std::vector<uint32_t> Preds) {
+  /// \p Joined is a forced set (Dpst::forced) already joined into a node
+  /// of \p Preds, so a step after \p Preds carrying that same set waits
+  /// for its futures without new force edges.
+  WalkResult walk(const DpstNode *N, std::vector<uint32_t> Preds,
+                  const std::vector<uint32_t> *Joined) {
     std::vector<uint32_t> Pending;
     for (const DpstNode *C : Tree.children(N)) {
       switch (C->kind()) {
@@ -36,26 +43,37 @@ public:
         uint32_t Id = addNode(C->weight());
         for (uint32_t P : Preds)
           addEdge(P, Id);
+        Joined = joinForced(C, Id, Joined);
         Preds.assign(1, Id);
         break;
       }
       case DpstKind::Scope: {
-        WalkResult R = walk(C, std::move(Preds));
+        WalkResult R = walk(C, std::move(Preds), Joined);
         Preds = std::move(R.Exits);
+        Joined = R.Joined;
         append(Pending, R.Pending);
         break;
       }
-      case DpstKind::Async: {
+      case DpstKind::Async:
+      case DpstKind::Future: {
         // The spawned task starts after the same preds; the parent thread
         // continues without waiting.
-        WalkResult R = walk(C, Preds);
+        WalkResult R = walk(C, Preds, Joined);
+        if (C->isFuture()) {
+          // A force waits for the future's body and, through its implicit
+          // finish, for every task the body spawned.
+          std::vector<uint32_t> &Done = FutureExits[C->futureId()];
+          Done = R.Exits;
+          append(Done, R.Pending);
+        }
         append(Pending, R.Exits);
         append(Pending, R.Pending);
         break;
       }
       case DpstKind::Finish: {
-        WalkResult R = walk(C, std::move(Preds));
+        WalkResult R = walk(C, std::move(Preds), Joined);
         Preds = std::move(R.Exits);
+        Joined = R.Joined;
         append(Preds, R.Pending);
         dedup(Preds);
         break;
@@ -65,7 +83,7 @@ public:
         break;
       }
     }
-    return WalkResult{std::move(Preds), std::move(Pending)};
+    return WalkResult{std::move(Preds), std::move(Pending), Joined};
   }
 
 private:
@@ -77,6 +95,22 @@ private:
   void addEdge(uint32_t From, uint32_t To) {
     G.Nodes[From].Succs.push_back(To);
     ++G.Nodes[To].NumPreds;
+  }
+
+  /// Force edges: step \p Id starts after every future its forced set
+  /// names, i.e. after all of that future's exits. The set is skipped when
+  /// it is \p Joined (see walk). Returns the set now joined. Futures
+  /// complete before any step that forces them, so the edges respect the
+  /// node order.
+  const std::vector<uint32_t> *joinForced(const DpstNode *Step, uint32_t Id,
+                                          const std::vector<uint32_t> *Joined) {
+    const std::vector<uint32_t> *F = Tree.forced(Step);
+    if (!F || F == Joined)
+      return Joined;
+    for (uint32_t Fid : *F)
+      for (uint32_t E : FutureExits[Fid])
+        addEdge(E, Id);
+    return F;
   }
 
   static void append(std::vector<uint32_t> &To,
@@ -91,6 +125,8 @@ private:
 
   const Dpst &Tree;
   CompGraph &G;
+  /// Per dynamic future id: the DAG nodes a force of it waits for.
+  std::unordered_map<uint32_t, std::vector<uint32_t>> FutureExits;
 };
 
 } // namespace
@@ -98,7 +134,7 @@ private:
 CompGraph tdr::buildCompGraph(const Dpst &Tree, const DpstNode *N) {
   CompGraph G;
   GraphBuilder B(Tree, G);
-  B.walk(N, {});
+  B.walk(N, {}, nullptr);
   return G;
 }
 

@@ -13,7 +13,8 @@
 ///
 ///  * buildCompGraph turns an S-DPST into the computation DAG: step nodes
 ///    weighted by their work, continuation edges within a task, spawn edges
-///    at asyncs, join edges at finish boundaries;
+///    at asyncs and futures, join edges at finish boundaries and at every
+///    step that follows a force of a future;
 ///  * criticalPathLength gives T-infinity (the paper's CPL);
 ///  * greedySchedule simulates a greedy (work-conserving) P-processor
 ///    schedule, giving the T_P this repository reports where the paper

@@ -5,31 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Record-once / replay-many: the ExecMonitor event stream of one
-/// instrumented interpretation, reified as a compact arena-backed log.
-///
-/// The repair loop re-detects races after every placement round, but by
-/// serial elision inserting finish statements cannot change the canonical
-/// depth-first execution — the memory-access and scope event stream is
-/// invariant across repair iterations. So the stream is recorded on the
-/// first interpretation of each input (RecorderMonitor) and later
-/// iterations re-feed it to the DPST builder + detector through
-/// replayEvents (see Replay.h), which remaps owners and synthesizes the
-/// finish enter/exit events the AST edits would have produced.
+/// The ExecMonitor event stream of one instrumented interpretation,
+/// reified as a compact arena-backed log. RecorderMonitor writes it;
+/// replayEvents (see Replay.h) re-emits it verbatim into any monitor, which
+/// lets a second detector consume exactly the stream the first one saw.
 ///
 /// One Event is 32 bytes; events are stored in fixed-size chunks bump-
 /// allocated from a MonotonicArena, so recording costs one store and a
-/// rare slab allocation per event and the log never relocates.
-///
-/// Out-of-core mode: with a spill threshold configured (TDR_LOG_SPILL in
-/// the environment, or setSpillThreshold before recording), full chunks
-/// past the resident budget are appended sequentially to an anonymous
-/// temporary file and freed, so recording a 10^8+-event trace holds a
-/// bounded number of chunks in memory. forEach streams the spilled prefix
-/// back with sequential readahead (pread into a reusable batch buffer),
-/// which is exactly the access pattern replayEvents needs. Events carry
-/// raw AST pointers, which stay valid across the disk round trip because
-/// a log never outlives the process that recorded it.
+/// rare slab allocation per event and the log never relocates. Events
+/// carry raw AST pointers, so a log must not outlive the program it was
+/// recorded from.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +26,6 @@
 #include "support/PagedArray.h"
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <vector>
 
@@ -114,28 +98,11 @@ struct Event {
 static_assert(sizeof(Event) == 32, "Event packing regressed");
 
 /// Append-only, chunked event storage. Chunks never move, so iteration is
-/// a flat scan; resident chunks are bump-allocated from a private arena.
-/// With a spill threshold set (see setSpillThreshold / TDR_LOG_SPILL),
-/// chunks are individually heap-owned instead and the full-chunk prefix
-/// migrates to an anonymous temporary file whenever resident bytes reach
-/// the threshold.
+/// a flat scan; chunks are bump-allocated from a private arena.
 class EventLog {
 public:
   static constexpr size_t ChunkEvents = 2048;
   static constexpr size_t ChunkBytes = sizeof(Event) * ChunkEvents;
-
-  /// Picks up the process-default spill threshold (TDR_LOG_SPILL, bytes
-  /// with optional K/M/G suffix; unset or 0 keeps the log fully resident).
-  EventLog();
-  ~EventLog();
-  EventLog(EventLog &&) = default;
-  EventLog &operator=(EventLog &&) = default;
-
-  /// Sets the resident-byte budget above which full chunks spill to disk
-  /// (0 disables spilling). Must be called before the first push — an
-  /// already-recorded log is not migrated between storage schemes.
-  void setSpillThreshold(size_t Bytes);
-  size_t spillThreshold() const { return SpillThreshold; }
 
   void push(const Event &E) {
     if (Count == Chunks.size() * ChunkEvents)
@@ -147,39 +114,13 @@ public:
   size_t size() const { return Count; }
   bool empty() const { return Count == 0; }
 
-  /// Bytes of event storage currently held in memory.
-  size_t bytesResident() const {
-    return (Arena ? Arena->bytesReserved() : 0) +
-           (Chunks.size() - NumSpilled) * (Arena ? 0 : ChunkBytes);
-  }
-  /// Bytes of event storage migrated to the spill file.
-  size_t bytesSpilled() const { return NumSpilled * ChunkBytes; }
-  /// Total event storage, wherever it lives.
-  size_t bytesReserved() const { return bytesResident() + bytesSpilled(); }
-  bool spilled() const { return NumSpilled != 0; }
+  /// Bytes of event storage held by the log.
+  size_t bytesReserved() const { return Arena ? Arena->bytesReserved() : 0; }
 
-  /// Visits every event in recording order. The spilled prefix streams
-  /// back through a sequential-readahead batch buffer; resident chunks
-  /// are scanned in place.
+  /// Visits every event in recording order.
   template <typename Fn> void forEach(Fn &&F) const {
-    size_t Chunk = 0;
-    if (NumSpilled) {
-      // Spilled chunks are always full (only complete chunks migrate), so
-      // the prefix carries exactly NumSpilled * ChunkEvents events.
-      std::vector<Event> Buf(ReadaheadChunks * ChunkEvents);
-      while (Chunk != NumSpilled) {
-        size_t Batch = NumSpilled - Chunk < ReadaheadChunks
-                           ? NumSpilled - Chunk
-                           : ReadaheadChunks;
-        readSpilled(Chunk, Batch, Buf.data());
-        for (size_t I = 0; I != Batch * ChunkEvents; ++I)
-          F(Buf[I]);
-        Chunk += Batch;
-      }
-    }
-    size_t Rem = Count - Chunk * ChunkEvents;
-    for (; Chunk != Chunks.size(); ++Chunk) {
-      const Event *C = Chunks[Chunk];
+    size_t Rem = Count;
+    for (const Event *C : Chunks) {
       size_t N = Rem < ChunkEvents ? Rem : ChunkEvents;
       for (size_t I = 0; I != N; ++I)
         F(C[I]);
@@ -187,32 +128,18 @@ public:
     }
   }
 
-  /// Drops all events (and the spill file, if any); the spill threshold
-  /// is retained, so the log can be reused for another recording.
-  void clear();
-
 private:
-  /// Chunks fetched per readahead batch when streaming the spilled
-  /// prefix: 16 * 64 KiB = 1 MiB of sequential I/O per pread.
-  static constexpr size_t ReadaheadChunks = 16;
+  void addChunk() {
+    if (!Arena)
+      Arena = std::make_unique<MonotonicArena>();
+    Chunks.push_back(
+        static_cast<Event *>(Arena->allocate(ChunkBytes, alignof(Event))));
+  }
 
-  void addChunk();
-  void spillResident();
-  void readSpilled(size_t FirstChunk, size_t NumChunks, Event *Out) const;
-
-  struct FileCloser {
-    void operator()(std::FILE *F) const;
-  };
-
-  std::vector<Event *> Chunks; ///< per-chunk storage; spilled prefix nulled
+  std::vector<Event *> Chunks;
   size_t Count = 0;
-  size_t NumSpilled = 0;  ///< chunks migrated to the spill file (a prefix)
-  size_t SpillThreshold = 0; ///< resident bytes that trigger a spill; 0=off
-  std::unique_ptr<MonotonicArena> Arena; ///< resident-mode chunk storage
-  /// Spill-mode chunk ownership, parallel to Chunks (resident mode leaves
-  /// it empty); spilling a chunk resets its entry.
-  std::vector<std::unique_ptr<Event[]>> Owned;
-  std::unique_ptr<std::FILE, FileCloser> Spill; ///< anonymous, auto-deleted
+  /// Held by pointer so the log stays movable (the arena is not).
+  std::unique_ptr<MonotonicArena> Arena;
 };
 
 /// ExecMonitor that appends every event to an EventLog. Chain it ahead of

@@ -6,200 +6,8 @@
 
 #include "trace/Replay.h"
 
-#include "ast/AstContext.h"
-
-#include <cassert>
-
 using namespace tdr;
 using namespace tdr::trace;
-
-//===----------------------------------------------------------------------===//
-// Plan construction
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Pre-order walk of the current AST classifying every new finish by the
-/// position it occupies (see Replay.h file comment). Anchors — the first
-/// and last *original* statements inside a new construct — key the plan
-/// entries, because only original statements appear in the log.
-class PlanBuilder {
-public:
-  PlanBuilder(const FinishEditMap &Edits, ReplayPlan &Plan)
-      : Edits(Edits), Plan(Plan) {}
-
-  void run(const Program &P) {
-    for (const FuncDecl *F : P.funcs())
-      planBlockChildren(F->body());
-    // Register segment wraps in discovery (pre-order) order so a shared
-    // first anchor opens outer wraps before inner ones.
-    for (const SegRec &R : Segs) {
-      if (!R.First)
-        continue; // wrap around an empty new block: nothing ever executes
-      Plan.SegOpens[R.First].push_back({R.F, R.EnterOwner, R.NewBody, R.Last});
-    }
-  }
-
-private:
-  struct Anchors {
-    const Stmt *First = nullptr;
-    const Stmt *Last = nullptr;
-  };
-  struct SegRec {
-    const FinishStmt *F;
-    const Stmt *EnterOwner;
-    const BlockStmt *NewBody;
-    const Stmt *First;
-    const Stmt *Last;
-  };
-
-  bool isNewFinish(const Stmt *S) const {
-    return S && Edits.isNewFinish(S) && isa<FinishStmt>(S);
-  }
-
-  void planBlockChildren(const BlockStmt *B) {
-    for (const Stmt *C : B->stmts())
-      planChild(C);
-  }
-
-  /// A direct child of a (original or synthesized) block.
-  Anchors planChild(const Stmt *C) {
-    if (isNewFinish(C))
-      // A new finish standing in a statement list owns itself.
-      return planSegNew(cast<FinishStmt>(C), C);
-    walkOriginal(C);
-    return {C, C};
-  }
-
-  /// New finish in block-child position: a segment wrap.
-  Anchors planSegNew(const FinishStmt *F, const Stmt *EnterOwner) {
-    size_t Idx = Segs.size();
-    Segs.push_back({F, EnterOwner, nullptr, nullptr, nullptr});
-    Anchors A;
-    const Stmt *Body = F->body();
-    if (isNewFinish(Body)) {
-      A = planSegNew(cast<FinishStmt>(Body), F);
-    } else if (auto *NB = dyn_cast<BlockStmt>(Body);
-               NB && Edits.isNewBlock(NB)) {
-      Segs[Idx].NewBody = NB;
-      for (const Stmt *C : NB->stmts()) {
-        Anchors CA = planChild(C);
-        if (!A.First)
-          A.First = CA.First;
-        A.Last = CA.Last;
-      }
-    } else {
-      // Single original statement wrapped directly: its recorded events
-      // now belong to the finish.
-      Plan.OwnerRemap[Body] = F;
-      walkOriginal(Body);
-      A = {Body, Body};
-    }
-    Segs[Idx].First = A.First;
-    Segs[Idx].Last = A.Last;
-    return A;
-  }
-
-  /// Peels a chain of new finishes off a slot occupant. Returns the
-  /// original occupant; the chain (outermost first) lands in \p Chain.
-  const Stmt *peelChain(const Stmt *S,
-                        std::vector<const FinishStmt *> &Chain) const {
-    while (isNewFinish(S)) {
-      const auto *F = cast<FinishStmt>(S);
-      Chain.push_back(F);
-      S = F->body();
-    }
-    return S;
-  }
-
-  /// If/while/for body slot: new finishes here wrap the slot's original
-  /// async/finish occupant (deep wraps), anchored on that statement's own
-  /// enter/exit events.
-  void planStructuredSlot(const Stmt *SlotStmt) {
-    if (!SlotStmt)
-      return;
-    if (!isNewFinish(SlotStmt)) {
-      walkOriginal(SlotStmt);
-      return;
-    }
-    std::vector<const FinishStmt *> Chain;
-    const Stmt *W = peelChain(SlotStmt, Chain);
-    assert((isa<AsyncStmt>(W) || isa<FinishStmt>(W)) &&
-           "structured-slot wraps only apply to async/finish statements");
-    auto &Dst = Plan.StmtWraps[W];
-    Dst.insert(Dst.end(), Chain.begin(), Chain.end());
-    walkOriginal(W);
-  }
-
-  /// Async/finish body slot: new finishes here wrap the whole body,
-  /// anchored on the owner's frame.
-  void planBodySlot(const Stmt *OwnerStmt, const Stmt *Body) {
-    if (!isNewFinish(Body)) {
-      walkOriginal(Body);
-      return;
-    }
-    std::vector<const FinishStmt *> Chain;
-    const Stmt *Inner = peelChain(Body, Chain);
-    auto &Dst = Plan.FrameWraps[OwnerStmt];
-    Dst.insert(Dst.end(), Chain.begin(), Chain.end());
-    walkOriginal(Inner);
-  }
-
-  void walkOriginal(const Stmt *S) {
-    switch (S->kind()) {
-    case Stmt::Kind::Block:
-      planBlockChildren(cast<BlockStmt>(S));
-      break;
-    case Stmt::Kind::If: {
-      const auto *I = cast<IfStmt>(S);
-      planStructuredSlot(I->thenStmt());
-      planStructuredSlot(I->elseStmt());
-      break;
-    }
-    case Stmt::Kind::While:
-      planStructuredSlot(cast<WhileStmt>(S)->body());
-      break;
-    case Stmt::Kind::For:
-      planStructuredSlot(cast<ForStmt>(S)->body());
-      break;
-    case Stmt::Kind::Async:
-      planBodySlot(S, cast<AsyncStmt>(S)->body());
-      break;
-    case Stmt::Kind::Finish:
-      planBodySlot(S, cast<FinishStmt>(S)->body());
-      break;
-    case Stmt::Kind::Isolated:
-      // No finish can be inserted inside an isolated body (races there are
-      // suppressed and sema bans the construct), so just walk through.
-      walkOriginal(cast<IsolatedStmt>(S)->body());
-      break;
-    case Stmt::Kind::VarDecl:
-    case Stmt::Kind::Assign:
-    case Stmt::Kind::Expr:
-    case Stmt::Kind::Return:
-    case Stmt::Kind::Future:
-    case Stmt::Kind::Forasync:
-      break;
-    }
-  }
-
-  const FinishEditMap &Edits;
-  ReplayPlan &Plan;
-  std::vector<SegRec> Segs;
-};
-
-} // namespace
-
-ReplayPlan trace::buildReplayPlan(const Program &P, const FinishEditMap &Edits) {
-  ReplayPlan Plan;
-  if (!Edits.empty())
-    PlanBuilder(Edits, Plan).run(P);
-  return Plan;
-}
-
-//===----------------------------------------------------------------------===//
-// Replay driver
-//===----------------------------------------------------------------------===//
 
 namespace {
 
@@ -256,29 +64,39 @@ private:
   uint64_t Count = 0;
 };
 
-/// Streams a log through the plan. Mirrors the interpreter's dynamic
-/// nesting with an explicit frame stack; each frame tracks the segment
-/// (direct-child statement) currently executing at its top level plus the
-/// synthesized constructs to close when the frame ends.
-class Replayer {
-public:
-  Replayer(const ReplayPlan &Plan, ExecMonitor &M) : Plan(Plan), M(M) {
-    // Root frame: global initializers + the main call scope.
-    Frames.push_back(Frame{nullptr, 0, true, nullptr, nullptr, nullptr,
-                           nullptr});
-  }
+} // namespace
 
-  void feed(const Event &E) {
-    // Any non-access event ends a pending access run (order preservation).
+void trace::replayEvents(const EventLog &Log, ExecMonitor &M) {
+  RunCoalescer Runs(M);
+  Log.forEach([&](const Event &E) {
     if (E.K != EvKind::Read && E.K != EvKind::Write)
       Runs.flush();
     switch (E.K) {
-    case EvKind::StepPoint: {
-      const auto *O = static_cast<const Stmt *>(E.P0);
-      transition(O);
-      M.onStepPoint(remap(O));
+    case EvKind::AsyncEnter:
+      M.onAsyncEnter(static_cast<const AsyncStmt *>(E.P0),
+                     static_cast<const Stmt *>(E.P1));
       break;
-    }
+    case EvKind::AsyncExit:
+      M.onAsyncExit(static_cast<const AsyncStmt *>(E.P0));
+      break;
+    case EvKind::FinishEnter:
+      M.onFinishEnter(static_cast<const FinishStmt *>(E.P0),
+                      static_cast<const Stmt *>(E.P1));
+      break;
+    case EvKind::FinishExit:
+      M.onFinishExit(static_cast<const FinishStmt *>(E.P0));
+      break;
+    case EvKind::ScopeEnter:
+      M.onScopeEnter(E.scopeKind(), static_cast<const Stmt *>(E.P0),
+                     static_cast<const BlockStmt *>(E.P1),
+                     reinterpret_cast<const FuncDecl *>(E.U));
+      break;
+    case EvKind::ScopeExit:
+      M.onScopeExit();
+      break;
+    case EvKind::StepPoint:
+      M.onStepPoint(static_cast<const Stmt *>(E.P0));
+      break;
     case EvKind::Work:
       M.onWork(E.U);
       break;
@@ -288,285 +106,24 @@ public:
     case EvKind::Write:
       Runs.write(E.loc());
       break;
-    case EvKind::AsyncEnter: {
-      const auto *S = static_cast<const AsyncStmt *>(E.P0);
-      const auto *O = static_cast<const Stmt *>(E.P1);
-      transition(O);
-      Frame NF = enterTaskFrame(S, remap(O),
-                                [&](const Stmt *Owner) {
-                                  M.onAsyncEnter(S, Owner);
-                                });
-      Frames.push_back(NF);
+    case EvKind::FutureEnter:
+      M.onFutureEnter(static_cast<const FutureStmt *>(E.P0),
+                      static_cast<const Stmt *>(E.P1), E.Id);
       break;
-    }
-    case EvKind::AsyncExit: {
-      Frame F = Frames.back();
-      Frames.pop_back();
-      exitTaskFrame(F, [&] {
-        M.onAsyncExit(static_cast<const AsyncStmt *>(E.P0));
-      });
+    case EvKind::FutureExit:
+      M.onFutureExit(static_cast<const FutureStmt *>(E.P0));
       break;
-    }
-    case EvKind::FinishEnter: {
-      const auto *S = static_cast<const FinishStmt *>(E.P0);
-      const auto *O = static_cast<const Stmt *>(E.P1);
-      transition(O);
-      Frame NF = enterTaskFrame(S, remap(O),
-                                [&](const Stmt *Owner) {
-                                  M.onFinishEnter(S, Owner);
-                                });
-      Frames.push_back(NF);
-      break;
-    }
-    case EvKind::FinishExit: {
-      Frame F = Frames.back();
-      Frames.pop_back();
-      exitTaskFrame(F, [&] {
-        M.onFinishExit(static_cast<const FinishStmt *>(E.P0));
-      });
-      break;
-    }
-    case EvKind::ScopeEnter: {
-      const auto *O = static_cast<const Stmt *>(E.P0);
-      transition(O);
-      M.onScopeEnter(E.scopeKind(), remap(O), static_cast<const BlockStmt *>(E.P1),
-                     reinterpret_cast<const FuncDecl *>(E.U));
-      Frames.push_back(Frame{nullptr, OpenWraps.size(), true, nullptr,
-                             nullptr, nullptr, nullptr});
-      break;
-    }
-    case EvKind::ScopeExit: {
-      Frame F = Frames.back();
-      Frames.pop_back();
-      closeWrapsTo(F.WrapBase);
-      M.onScopeExit();
-      break;
-    }
-    case EvKind::FutureEnter: {
-      const auto *S = static_cast<const FutureStmt *>(E.P0);
-      const auto *O = static_cast<const Stmt *>(E.P1);
-      const uint32_t Fid = E.Id;
-      transition(O);
-      Frame NF = enterTaskFrame(S, remap(O), [&](const Stmt *Owner) {
-        M.onFutureEnter(S, Owner, Fid);
-      });
-      Frames.push_back(NF);
-      break;
-    }
-    case EvKind::FutureExit: {
-      Frame F = Frames.back();
-      Frames.pop_back();
-      exitTaskFrame(F, [&] {
-        M.onFutureExit(static_cast<const FutureStmt *>(E.P0));
-      });
-      break;
-    }
     case EvKind::Force:
-      // Within a step; no frame or segment change.
       M.onForce(E.Id);
       break;
-    case EvKind::IsolatedEnter: {
-      const auto *S = static_cast<const IsolatedStmt *>(E.P0);
-      const auto *O = static_cast<const Stmt *>(E.P1);
-      transition(O);
-      M.onIsolatedEnter(S, remap(O));
+    case EvKind::IsolatedEnter:
+      M.onIsolatedEnter(static_cast<const IsolatedStmt *>(E.P0),
+                        static_cast<const Stmt *>(E.P1));
       break;
-    }
     case EvKind::IsolatedExit:
       M.onIsolatedExit(static_cast<const IsolatedStmt *>(E.P0));
       break;
     }
-  }
-
-  /// Emits any access run still pending at end of log.
-  void finish() { Runs.flush(); }
-
-private:
-  struct OpenWrap {
-    const FinishStmt *F;
-    const BlockStmt *NewBody;
-    const Stmt *Last;
-  };
-  struct Frame {
-    /// Owning statement of the current top-level segment.
-    const Stmt *Seg;
-    /// OpenWraps watermark at frame entry.
-    size_t WrapBase;
-    /// Scope/root frames host block-child segments; task frames do not.
-    bool SegFrame;
-    /// Frame-scoped owner remap (body-slot wraps).
-    const Stmt *RemapFrom;
-    const Stmt *RemapTo;
-    /// Synthesized finishes to close before / after the frame's exit event.
-    const std::vector<const FinishStmt *> *FrameChain;
-    const std::vector<const FinishStmt *> *StmtChain;
-  };
-
-  const Stmt *remap(const Stmt *O) const {
-    if (!O)
-      return O;
-    const Frame &F = Frames.back();
-    if (O == F.RemapFrom)
-      return F.RemapTo;
-    // A directly wrapped async/finish only changes owner at its *parent*
-    // position (its own enter event); its body still executes under the
-    // statement itself (execBody hard-codes it), so inside its task frame
-    // the global remap is suppressed.
-    if (!F.SegFrame && O == F.Seg)
-      return O;
-    auto It = Plan.OwnerRemap.find(O);
-    return It == Plan.OwnerRemap.end() ? O : It->second;
-  }
-
-  /// Emits the closers (body-block ScopeExit + FinishExit) for every open
-  /// wrap above \p Base, innermost first.
-  void closeWrapsTo(size_t Base) {
-    while (OpenWraps.size() > Base) {
-      const OpenWrap &W = OpenWraps.back();
-      if (W.NewBody)
-        M.onScopeExit();
-      M.onFinishExit(W.F);
-      OpenWraps.pop_back();
-    }
-  }
-
-  /// Owner-carrying event seen at the current frame's top level: if the
-  /// owner statement changed, the previous segment ended — close wraps
-  /// anchored on it — and the new one begins — open its wraps.
-  void transition(const Stmt *O) {
-    Frame &F = Frames.back();
-    if (!F.SegFrame || O == F.Seg)
-      return;
-    while (OpenWraps.size() > F.WrapBase && OpenWraps.back().Last == F.Seg)
-      closeWrapsTo(OpenWraps.size() - 1);
-    F.Seg = O;
-    auto It = Plan.SegOpens.find(O);
-    if (It == Plan.SegOpens.end())
-      return;
-    for (const ReplayPlan::SegOpen &SO : It->second) {
-      M.onFinishEnter(SO.F, SO.EnterOwner);
-      if (SO.NewBody)
-        M.onScopeEnter(ScopeKind::Block, SO.F, SO.NewBody, nullptr);
-      OpenWraps.push_back({SO.F, SO.NewBody, SO.Last});
-    }
-  }
-
-  /// Shared enter logic for async/finish frames: statement wraps open
-  /// around the enter event, frame wraps right after it.
-  template <typename EmitEnter>
-  Frame enterTaskFrame(const Stmt *S, const Stmt *Owner, EmitEnter Emit) {
-    const std::vector<const FinishStmt *> *StmtChain = nullptr;
-    if (auto It = Plan.StmtWraps.find(S); It != Plan.StmtWraps.end()) {
-      StmtChain = &It->second;
-      for (const FinishStmt *W : *StmtChain) {
-        M.onFinishEnter(W, Owner);
-        Owner = W;
-      }
-    }
-    Emit(Owner);
-    Frame NF{S, OpenWraps.size(), false, nullptr, nullptr, nullptr,
-             StmtChain};
-    if (auto It = Plan.FrameWraps.find(S); It != Plan.FrameWraps.end()) {
-      const Stmt *FO = S;
-      for (const FinishStmt *W : It->second) {
-        M.onFinishEnter(W, FO);
-        FO = W;
-      }
-      NF.RemapFrom = S;
-      NF.RemapTo = It->second.back();
-      NF.FrameChain = &It->second;
-    }
-    return NF;
-  }
-
-  template <typename EmitExit> void exitTaskFrame(const Frame &F, EmitExit Emit) {
-    closeWrapsTo(F.WrapBase);
-    if (F.FrameChain)
-      for (size_t I = F.FrameChain->size(); I--;)
-        M.onFinishExit((*F.FrameChain)[I]);
-    Emit();
-    if (F.StmtChain)
-      for (size_t I = F.StmtChain->size(); I--;)
-        M.onFinishExit((*F.StmtChain)[I]);
-  }
-
-  const ReplayPlan &Plan;
-  ExecMonitor &M;
-  RunCoalescer Runs{M};
-  std::vector<Frame> Frames;
-  std::vector<OpenWrap> OpenWraps;
-};
-
-} // namespace
-
-void trace::replayEvents(const EventLog &Log, const ReplayPlan &Plan,
-                         ExecMonitor &M) {
-  if (Plan.empty()) {
-    // No edits since the recording: re-emit verbatim, no frame tracking.
-    // Access runs still coalesce into batched checks (see RunCoalescer) —
-    // this is the steady-state repair-loop path, so it benefits most.
-    RunCoalescer Runs(M);
-    Log.forEach([&](const Event &E) {
-      if (E.K != EvKind::Read && E.K != EvKind::Write)
-        Runs.flush();
-      switch (E.K) {
-      case EvKind::AsyncEnter:
-        M.onAsyncEnter(static_cast<const AsyncStmt *>(E.P0),
-                       static_cast<const Stmt *>(E.P1));
-        break;
-      case EvKind::AsyncExit:
-        M.onAsyncExit(static_cast<const AsyncStmt *>(E.P0));
-        break;
-      case EvKind::FinishEnter:
-        M.onFinishEnter(static_cast<const FinishStmt *>(E.P0),
-                        static_cast<const Stmt *>(E.P1));
-        break;
-      case EvKind::FinishExit:
-        M.onFinishExit(static_cast<const FinishStmt *>(E.P0));
-        break;
-      case EvKind::ScopeEnter:
-        M.onScopeEnter(E.scopeKind(), static_cast<const Stmt *>(E.P0),
-                       static_cast<const BlockStmt *>(E.P1),
-                       reinterpret_cast<const FuncDecl *>(E.U));
-        break;
-      case EvKind::ScopeExit:
-        M.onScopeExit();
-        break;
-      case EvKind::StepPoint:
-        M.onStepPoint(static_cast<const Stmt *>(E.P0));
-        break;
-      case EvKind::Work:
-        M.onWork(E.U);
-        break;
-      case EvKind::Read:
-        Runs.read(E.loc());
-        break;
-      case EvKind::Write:
-        Runs.write(E.loc());
-        break;
-      case EvKind::FutureEnter:
-        M.onFutureEnter(static_cast<const FutureStmt *>(E.P0),
-                        static_cast<const Stmt *>(E.P1), E.Id);
-        break;
-      case EvKind::FutureExit:
-        M.onFutureExit(static_cast<const FutureStmt *>(E.P0));
-        break;
-      case EvKind::Force:
-        M.onForce(E.Id);
-        break;
-      case EvKind::IsolatedEnter:
-        M.onIsolatedEnter(static_cast<const IsolatedStmt *>(E.P0),
-                          static_cast<const Stmt *>(E.P1));
-        break;
-      case EvKind::IsolatedExit:
-        M.onIsolatedExit(static_cast<const IsolatedStmt *>(E.P0));
-        break;
-      }
-    });
-    Runs.flush();
-    return;
-  }
-  Replayer R(Plan, M);
-  Log.forEach([&](const Event &E) { R.feed(E); });
-  R.finish();
+  });
+  Runs.flush();
 }

@@ -1,159 +1,47 @@
-//===- Replay.h - Edit-map-aware event stream replay -------------*- C++ -*-===//
+//===- Replay.h - Verbatim event stream replay -------------------*- C++ -*-===//
 //
 // Part of the tdr project (PLDI 2014 race-repair reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Replays a recorded EventLog into any ExecMonitor, producing the event
-/// stream the *edited* program would emit. Finish insertion is strictly
-/// restrictive — it adds join points without changing the depth-first
-/// execution — so the replayed stream differs from the recorded one only
-/// in (a) synthesized onFinishEnter/Exit (and body-block onScopeEnter/
-/// Exit) events bracketing each wrapped range and (b) owner pointers of
-/// statements whose enclosing statement-list position changed.
+/// Replays a recorded EventLog into any ExecMonitor, re-emitting exactly
+/// the stream the recorded interpretation produced. Replay is the identity:
+/// it never adapts a log to an edited program, so a log is only valid for
+/// the AST it was recorded against. The repair loop does not replay; every
+/// re-detection interprets the edited program afresh.
 ///
-/// A ReplayPlan is derived from the *current* AST plus the FinishEditMap's
-/// new-statement sets before each replay (a cheap pre-order walk), so
-/// nested, adjacent, and iterated edits compose without bookkeeping:
-///
-///  * segment wraps — new finishes that are direct block children open at
-///    the first wrapped statement's segment and close after the last's;
-///  * owner remaps — a single statement wrapped directly (no new block)
-///    keeps emitting its own events, but their owner becomes the finish;
-///  * statement wraps — a new finish occupying an if/while/for body slot
-///    brackets the wrapped async/finish statement's own enter/exit;
-///  * frame wraps — a new finish occupying an async/finish *body* slot
-///    opens right after the owner's enter event and closes right before
-///    its exit, remapping owners within that frame.
-///
-/// The replay driver keeps an explicit frame stack mirroring the
-/// interpreter's dynamic nesting, so early flow-outs (a return from inside
-/// a wrapped range) close the synthesized constructs exactly where the
-/// fresh interpretation of the edited program would.
+/// Users: the TDR_BACKEND_CHECK differential (race/Detect.cpp feeds the
+/// primary run's stream to the Theorem-1 oracle), the fuzz oracle's
+/// replay-divergence leg, and the benchmark harness's replay row.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TDR_TRACE_REPLAY_H
 #define TDR_TRACE_REPLAY_H
 
-#include "ast/Transforms.h"
 #include "interp/Interpreter.h"
 #include "trace/EventLog.h"
 
-#include <deque>
-#include <unordered_map>
-#include <vector>
-
-namespace tdr {
-class Program;
-} // namespace tdr
-
 namespace tdr::trace {
 
-/// Everything the replayer needs to know about the AST edits applied since
-/// a log was recorded, keyed by statements that appear in the log.
-struct ReplayPlan {
-  /// One synthesized finish to open when its anchor segment begins.
-  struct SegOpen {
-    const FinishStmt *F = nullptr;
-    const Stmt *EnterOwner = nullptr;  ///< owner for the FinishEnter event
-    const BlockStmt *NewBody = nullptr; ///< synthesized body block, if any
-    const Stmt *Last = nullptr;         ///< last wrapped original statement
-  };
+/// The edits a replay applies to a log: none. Replay is verbatim, so this
+/// type carries no state; it survives only in the log-backed detectRaces
+/// signatures.
+struct ReplayPlan {};
 
-  /// Keyed by the first original statement under each wrap: finishes to
-  /// open (outermost first) when that statement's segment starts.
-  std::unordered_map<const Stmt *, std::vector<SegOpen>> SegOpens;
-  /// Original statement -> the new finish that became its owner (single-
-  /// statement wraps; safe globally, the key only ever appears as an owner
-  /// within its own segment).
-  std::unordered_map<const Stmt *, const Stmt *> OwnerRemap;
-  /// Async/finish statement -> new finishes wrapping the statement itself
-  /// (outermost first; deep wraps in structured body slots).
-  std::unordered_map<const Stmt *, std::vector<const FinishStmt *>> StmtWraps;
-  /// Async/finish statement -> new finishes wrapping its *body* (outermost
-  /// first; body-slot wraps).
-  std::unordered_map<const Stmt *, std::vector<const FinishStmt *>> FrameWraps;
-
-  bool empty() const {
-    return SegOpens.empty() && OwnerRemap.empty() && StmtWraps.empty() &&
-           FrameWraps.empty();
-  }
-};
-
-/// Builds the replay plan for \p P given the finish insertions in \p Edits
-/// (everything applied since the log was recorded). Walks the current AST
-/// once; O(statements).
-ReplayPlan buildReplayPlan(const Program &P, const FinishEditMap &Edits);
-
-/// Feeds \p Log to \p M, applying \p Plan. With an empty plan this is a
-/// verbatim re-emission of the recorded stream.
-void replayEvents(const EventLog &Log, const ReplayPlan &Plan, ExecMonitor &M);
+/// Feeds \p Log to \p M verbatim. Runs of same-kind, consecutive-index
+/// array accesses are batched into onReadRun/onWriteRun calls; monitors
+/// that do not override the run hooks see the identical per-element
+/// stream (see ExecMonitor::onReadRun).
+void replayEvents(const EventLog &Log, ExecMonitor &M);
 
 /// A recorded interpretation of one test input: the event stream plus the
-/// execution outcome (output / error / total work), which is replay-
-/// invariant by serial elision and stands in for ExecResult on replayed
-/// detections.
+/// execution outcome (output / error / total work), which stands in for
+/// ExecResult on log-backed detections.
 struct InputTrace {
   EventLog Log;
   ExecResult Exec;
-};
-
-/// One input's trace plus the edits applied since it was recorded.
-struct TraceEntry {
-  InputTrace Trace;
-  FinishEditMap Edits;
-  bool Recorded = false;
-
-  void reset() {
-    Trace.Log.clear();
-    Trace.Exec = ExecResult();
-    Edits.clear();
-    Recorded = false;
-  }
-};
-
-/// Per-input trace storage for multi-input repair. As a FinishEditSink it
-/// broadcasts every AST edit to *all* recorded entries — each input's log
-/// has its own baseline, so an edit driven by one input must enter every
-/// other live edit map to keep those logs replayable.
-class TraceStore final : public FinishEditSink {
-public:
-  TraceEntry &entry(size_t I) {
-    while (Entries.size() <= I)
-      Entries.emplace_back();
-    return Entries[I];
-  }
-  /// Entry I, or null when it was never created.
-  const TraceEntry *find(size_t I) const {
-    return I < Entries.size() ? &Entries[I] : nullptr;
-  }
-  size_t numEntries() const { return Entries.size(); }
-
-  /// Drops every recorded trace. Required after a non-finish repair edit
-  /// (force insertion, isolated wrapping): those edits change the event
-  /// stream itself, so no recorded log can be replayed against the edited
-  /// program. The next detection per input re-interprets and re-records.
-  void invalidateAll() {
-    for (TraceEntry &E : Entries)
-      E.reset();
-  }
-
-  void noteBlockWrap(FinishStmt *F, BlockStmt *Parent, Stmt *First,
-                     Stmt *Last, BlockStmt *NewBody) override {
-    for (TraceEntry &E : Entries)
-      if (E.Recorded)
-        E.Edits.noteBlockWrap(F, Parent, First, Last, NewBody);
-  }
-  void noteSlotWrap(FinishStmt *F, Stmt *SlotOwner, Stmt *Wrapped) override {
-    for (TraceEntry &E : Entries)
-      if (E.Recorded)
-        E.Edits.noteSlotWrap(F, SlotOwner, Wrapped);
-  }
-
-private:
-  std::deque<TraceEntry> Entries; ///< deque: entries never move
 };
 
 } // namespace tdr::trace

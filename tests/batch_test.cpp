@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <set>
 #include <vector>
 
@@ -190,14 +189,10 @@ TEST(Batch, PerJobMetricsAreIsolatedAndMerged) {
   }
   // The caller's registry saw the whole batch: detect.runs merged across
   // jobs matches the per-job iteration counts (each iteration performs
-  // exactly one detection run, fresh or replayed). Under TDR_REPLAY_CHECK
-  // every replayed detection runs an extra fresh differential.
+  // exactly one detection run).
   uint64_t DetectRunsAcrossJobs = 0;
   for (const BatchJobResult &R : S.Results)
     DetectRunsAcrossJobs += R.Repair.Stats.Iterations;
-  const char *RC = std::getenv("TDR_REPLAY_CHECK");
-  if (RC && *RC && !(RC[0] == '0' && RC[1] == '\0'))
-    DetectRunsAcrossJobs += Parent.counterValue("repair.replays");
   EXPECT_EQ(Parent.counterValue("detect.runs"), DetectRunsAcrossJobs);
   EXPECT_EQ(Parent.counterValue("batch.jobs"), Jobs.size());
   EXPECT_EQ(Parent.counterValue("repair.finishes_inserted"),

@@ -3,7 +3,8 @@
 // Part of the tdr project (PLDI 2014 race-repair reproduction).
 //
 // The explainable-diagnostics layer: race witnesses reconstructed from the
-// S-DPST and the recorded event log (src/diag/Witness.h), per-finish
+// S-DPST and a re-interpretation of the program (src/diag/Witness.h),
+// per-finish
 // repair provenance (RepairOptions::CollectDiag), and the schema-versioned
 // run report with its `tdr explain` renderer (src/diag/RunReport.h).
 //
@@ -17,7 +18,6 @@
 #include "race/Detect.h"
 #include "repair/RepairDriver.h"
 #include "support/Json.h"
-#include "trace/EventLog.h"
 
 using namespace tdr;
 using namespace tdr::test;
@@ -48,16 +48,36 @@ func main() {
 }
 )";
 
-/// Detection that also records the event log, the way the CLI's --report
-/// path does, so buildWitnesses can refine access sites through replay.
-Detection detectWithLog(const Program &P, trace::EventLog &Log,
-                        std::vector<int64_t> Args = {}) {
-  trace::RecorderMonitor Recorder(Log);
+/// A future's write races with the continuation's write: nothing forces
+/// the future before main writes X.
+const char *FutureRace = R"(
+var X: int = 0;
+func produce(): int {
+  X = 1;
+  return 1;
+}
+func main() {
+  future f = produce();
+  X = 2;
+  print(X);
+}
+)";
+
+ExecOptions inputs(std::vector<int64_t> Args) {
   ExecOptions Exec;
   Exec.Args = std::move(Args);
-  Exec.Monitor = &Recorder;
-  Detection D = detectRaces(P, EspBagsDetector::Mode::MRW, Exec);
-  Recorder.flush();
+  return Exec;
+}
+
+/// MRW detection of \p P plus its witnesses, with access sites refined by
+/// re-interpretation the way the CLI's --report path does.
+Detection detectExplained(const ParsedProgram &P,
+                          std::vector<diag::RaceWitness> &Ws,
+                          std::vector<int64_t> Args = {}) {
+  Detection D = detectRaces(*P.Prog, EspBagsDetector::Mode::MRW, inputs(Args));
+  if (D.ok())
+    Ws = diag::buildWitnesses(*D.Tree, D.Report, P.SM.get(), P.Prog,
+                              inputs(Args));
   return D;
 }
 
@@ -65,13 +85,10 @@ TEST(Witness, SimpleRaceIsFullyExplained) {
   ParsedProgram P = parseAndCheck(SimpleRace);
   ASSERT_TRUE(P.ok()) << P.errors();
 
-  trace::EventLog Log;
-  Detection D = detectWithLog(*P.Prog, Log);
+  std::vector<diag::RaceWitness> Ws;
+  Detection D = detectExplained(P, Ws);
   ASSERT_TRUE(D.ok());
   ASSERT_EQ(D.Report.Pairs.size(), 1u);
-
-  std::vector<diag::RaceWitness> Ws =
-      diag::buildWitnesses(*D.Tree, D.Report, P.SM.get(), &Log);
   ASSERT_EQ(Ws.size(), 1u);
   const diag::RaceWitness &W = Ws[0];
 
@@ -108,10 +125,8 @@ TEST(Witness, RenderedTextCarriesCaretsAndTheorem1Argument) {
   ParsedProgram P = parseAndCheck(SimpleRace);
   ASSERT_TRUE(P.ok()) << P.errors();
 
-  trace::EventLog Log;
-  Detection D = detectWithLog(*P.Prog, Log);
-  std::vector<diag::RaceWitness> Ws =
-      diag::buildWitnesses(*D.Tree, D.Report, P.SM.get(), &Log);
+  std::vector<diag::RaceWitness> Ws;
+  detectExplained(P, Ws);
   ASSERT_EQ(Ws.size(), 1u);
 
   std::string Text = diag::renderWitnessText(Ws[0]);
@@ -132,19 +147,15 @@ TEST(Witness, DiffersPerInputOnInputDependentProgram) {
   ASSERT_TRUE(P.ok()) << P.errors();
 
   // Small input: only the X race exists.
-  trace::EventLog SmallLog;
-  Detection Small = detectWithLog(*P.Prog, SmallLog, {5});
-  std::vector<diag::RaceWitness> SmallWs =
-      diag::buildWitnesses(*Small.Tree, Small.Report, P.SM.get(), &SmallLog);
+  std::vector<diag::RaceWitness> SmallWs;
+  detectExplained(P, SmallWs, {5});
   ASSERT_EQ(SmallWs.size(), 1u);
   EXPECT_EQ(SmallWs[0].Location, "global#0");
 
   // Large input: the Y async spawns too, adding a second, distinct
   // witness with its own breaking async (line 8 vs line 6).
-  trace::EventLog LargeLog;
-  Detection Large = detectWithLog(*P.Prog, LargeLog, {20});
-  std::vector<diag::RaceWitness> LargeWs =
-      diag::buildWitnesses(*Large.Tree, Large.Report, P.SM.get(), &LargeLog);
+  std::vector<diag::RaceWitness> LargeWs;
+  detectExplained(P, LargeWs, {20});
   ASSERT_EQ(LargeWs.size(), 2u);
   EXPECT_EQ(LargeWs[0].Location, "global#0");
   EXPECT_EQ(LargeWs[1].Location, "global#1");
@@ -154,18 +165,60 @@ TEST(Witness, DiffersPerInputOnInputDependentProgram) {
             LargeWs[0].BreakingAsyncPos.Line);
 }
 
+TEST(Witness, FutureIsTheBreakingTask) {
+  ParsedProgram P = parseAndCheck(FutureRace);
+  ASSERT_TRUE(P.ok()) << P.errors();
+
+  std::vector<diag::RaceWitness> Ws;
+  Detection D = detectExplained(P, Ws);
+  ASSERT_TRUE(D.ok()) << D.Exec.Error;
+  ASSERT_FALSE(Ws.empty());
+  const diag::RaceWitness &W = Ws[0];
+  EXPECT_EQ(W.Src.Kind, AccessKind::Write);
+  EXPECT_EQ(W.Src.Pos.Line, 4u) << "write must refine into the future body";
+
+  // Theorem 1 with futures: the unforced future is the task that leaves
+  // the writes unordered; it sits at the future statement, line 8.
+  ASSERT_TRUE(W.HasBreakingAsync);
+  EXPECT_EQ(W.BreakingAsyncPos.Line, 8u);
+  ASSERT_FALSE(W.SrcSpine.empty());
+  EXPECT_EQ(W.SrcSpine.front().Kind, DpstKind::Future);
+  EXPECT_EQ(W.SrcSpine.front().Id, W.BreakingAsyncId);
+  EXPECT_EQ(W.SrcSpine.front().Pos.Line, 8u);
+
+  std::string Text = diag::renderWitnessText(W);
+  EXPECT_EQ(Text.find("no breaking async found"), std::string::npos) << Text;
+  EXPECT_NE(Text.find("future#"), std::string::npos) << Text;
+
+  // The kind survives the report round trip `tdr explain` reads.
+  diag::RunReport Rep;
+  Rep.Tool = "races";
+  Rep.Mode = "mrw";
+  diag::JobReport Job;
+  Job.Name = "future.hj";
+  diag::IterationDiag It;
+  It.Witnesses = Ws;
+  Job.Diag.Iterations.push_back(std::move(It));
+  Rep.Jobs.push_back(std::move(Job));
+  json::ParseResult Parsed = json::parse(diag::renderRunReportJson(Rep));
+  ASSERT_TRUE(Parsed.Ok) << Parsed.Error;
+  std::string Out, Err;
+  ASSERT_TRUE(diag::renderExplainText(Parsed.Doc, /*Color=*/false, Out, Err))
+      << Err;
+  EXPECT_EQ(Out.find("no breaking async found"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("first  spine: future#"), std::string::npos) << Out;
+}
+
 TEST(Witness, PropertyEveryReportedPairYieldsUnorderedWitness) {
   for (uint64_t Seed = 1; Seed <= 25; ++Seed) {
     RandomProgramGen Gen(Seed);
     ParsedProgram P = parseAndCheck(Gen.generate());
     ASSERT_TRUE(P.ok()) << "seed " << Seed << ": " << P.errors();
 
-    trace::EventLog Log;
-    Detection D = detectWithLog(*P.Prog, Log);
+    std::vector<diag::RaceWitness> Ws;
+    Detection D = detectExplained(P, Ws);
     if (!D.ok())
       continue; // work-limit aborts are not witness material
-    std::vector<diag::RaceWitness> Ws =
-        diag::buildWitnesses(*D.Tree, D.Report, P.SM.get(), &Log);
     ASSERT_EQ(Ws.size(), D.Report.Pairs.size()) << "seed " << Seed;
 
     for (size_t I = 0; I != Ws.size(); ++I) {
@@ -273,16 +326,10 @@ TEST(RunReport, WitnessSectionsMatchOracle) {
 
   std::string Sections[2];
   for (int I = 0; I != 2; ++I) {
-    trace::EventLog Log;
-    trace::RecorderMonitor Recorder(Log);
-    ExecOptions Exec;
-    Exec.Args = {20};
-    Exec.Monitor = &Recorder;
-    Detection D = I == 0 ? detectRaces(*P.Prog, DetectOptions(), Exec)
-                         : detectRacesOracle(*P.Prog, Exec);
-    Recorder.flush();
-    std::vector<diag::RaceWitness> Ws =
-        diag::buildWitnesses(*D.Tree, D.Report, P.SM.get(), &Log);
+    Detection D = I == 0 ? detectRaces(*P.Prog, DetectOptions(), inputs({20}))
+                         : detectRacesOracle(*P.Prog, inputs({20}));
+    std::vector<diag::RaceWitness> Ws = diag::buildWitnesses(
+        *D.Tree, D.Report, P.SM.get(), P.Prog, inputs({20}));
     Sections[I] = diag::renderWitnessesText(Ws);
   }
   EXPECT_EQ(Sections[0], Sections[1]);

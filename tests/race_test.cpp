@@ -711,7 +711,7 @@ TEST(BackendCheck, ZeroAndUnsetDisableTheCheck) {
 }
 
 TEST(BackendCheck, WholeRepairRunsCheckedInBothModes) {
-  // End-to-end: a full (replaying) repair under TDR_BACKEND_CHECK still
+  // End-to-end: a full repair under TDR_BACKEND_CHECK still
   // succeeds and produces the same program as without the check — every
   // detection along the way was checked against the oracle.
   for (EspBagsDetector::Mode Mode :

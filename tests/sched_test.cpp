@@ -77,6 +77,55 @@ TEST(Sched, EmptyGraph) {
   EXPECT_EQ(greedySchedule(G, 4), 0u);
 }
 
+/// main() spawns work(1000) as a future (or calls it), runs a second
+/// work(1000) and combines both. \p Early and \p Late read the first
+/// result right after the spawn or after the second call.
+std::string futureProgram(const char *Spawn, const char *Early,
+                          const char *Late) {
+  return std::string(R"(
+func work(n: int): int {
+  var s: int = 0;
+  for (var i: int = 0; i < n; i = i + 1) {
+    s = s + i;
+  }
+  return s;
+}
+func main() {
+  var r: int = 0;
+  )") + Spawn + "\n  " + Early + R"(
+  var t: int = work(1000);
+  )" + Late + R"(
+  print(r + t);
+}
+)";
+}
+
+TEST(Sched, FutureBodyIsWorkAndForceJoinsIt) {
+  BuiltTree Called =
+      buildTree(futureProgram("var c: int = work(1000);", "r = c;", ""));
+  BuiltTree Late =
+      buildTree(futureProgram("future f = work(1000);", "", "r = force(f);"));
+  BuiltTree Early =
+      buildTree(futureProgram("future f = work(1000);", "r = force(f);", ""));
+  ParallelismStats SC = analyzeDpst(*Called.Tree, 4);
+  ParallelismStats SL = analyzeDpst(*Late.Tree, 4);
+  ParallelismStats SE = analyzeDpst(*Early.Tree, 4);
+  // The future's body is work like the plain call's.
+  EXPECT_EQ(SL.T1, SC.T1);
+  EXPECT_EQ(SE.T1, SC.T1);
+  EXPECT_EQ(SL.T1, Late.Tree->subtreeWork(Late.Tree->root()));
+  // Forced late, the future overlaps the second call...
+  EXPECT_LT(SL.Tinf, SL.T1);
+  EXPECT_GT(2 * SL.Tinf, SL.T1);
+  // ...forced right away, the force edge serializes the two calls: only
+  // the few units main runs between the spawn and the force overlap it.
+  EXPECT_GT(SE.Tinf, SL.Tinf);
+  EXPECT_LT(SE.T1 - SE.Tinf, SE.T1 / 100);
+  // The recursive S-DPST evaluation models the force joins the same way.
+  EXPECT_EQ(SL.Tinf, Late.Tree->subtreeCpl(Late.Tree->root()));
+  EXPECT_EQ(SE.Tinf, Early.Tree->subtreeCpl(Early.Tree->root()));
+}
+
 TEST(Sched, DpstGraphMatchesStructure) {
   BuiltTree B = buildTree(R"(
 var A: int[];
@@ -112,15 +161,20 @@ class SchedProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SchedProperty, DagCplEqualsRecursiveDpstCpl) {
   // Two independent CPL computations — the recursive S-DPST evaluation and
-  // the longest path of the constructed DAG — must agree exactly.
+  // the longest path of the constructed DAG — must agree exactly, also on
+  // programs with futures, forces and isolated blocks.
   Rng SeedGen(GetParam());
-  for (int Trial = 0; Trial != 20; ++Trial) {
-    RandomProgramGen Gen(SeedGen.next());
-    BuiltTree B = buildTree(Gen.generate());
-    CompGraph G = buildCompGraph(*B.Tree);
-    EXPECT_EQ(criticalPathLength(G), B.Tree->subtreeCpl(B.Tree->root()))
-        << "trial " << Trial;
-    EXPECT_EQ(G.totalWork(), B.Tree->subtreeWork(B.Tree->root()));
+  for (bool Constructs : {false, true}) {
+    for (int Trial = 0; Trial != 20; ++Trial) {
+      RandomProgramGen Gen(SeedGen.next());
+      if (Constructs)
+        Gen.enableConstructs();
+      BuiltTree B = buildTree(Gen.generate());
+      CompGraph G = buildCompGraph(*B.Tree);
+      EXPECT_EQ(criticalPathLength(G), B.Tree->subtreeCpl(B.Tree->root()))
+          << "trial " << Trial << (Constructs ? " (constructs)" : "");
+      EXPECT_EQ(G.totalWork(), B.Tree->subtreeWork(B.Tree->root()));
+    }
   }
 }
 

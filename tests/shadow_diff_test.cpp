@@ -20,7 +20,6 @@
 #include "RandomProgram.h"
 #include "TestUtil.h"
 
-#include "ast/Transforms.h"
 #include "race/Detect.h"
 #include "race/RefDetectors.h"
 #include "race/ShadowMemory.h"
@@ -175,8 +174,7 @@ TEST(SparseHeapDifferential, EspBagsMatchesFrozenRefAndOracle) {
 
     trace::InputTrace T = recordTrace(P);
     ASSERT_TRUE(T.Exec.Ok) << T.Exec.Error << "\n" << Src;
-    FinishEditMap NoEdits;
-    trace::ReplayPlan Plan = trace::buildReplayPlan(*P.Prog, NoEdits);
+    trace::ReplayPlan Plan;
 
     for (EspBagsDetector::Mode Mode :
          {EspBagsDetector::Mode::SRW, EspBagsDetector::Mode::MRW}) {

@@ -8,22 +8,21 @@ follows the shared machine-readable layout (see bench/BenchUtil.h):
 
 with every result row carrying the fields perf tooling diffs across runs.
 The expected report name and row schema are selected by the binary's
-basename (bench_detector -> "detector", bench_replay -> "replay",
-bench_shadow -> "shadow"). Invoked from CTest (see tools/CMakeLists.txt) but also
-usable standalone:
+basename (bench_detector -> "detector", bench_shadow -> "shadow").
+Invoked from CTest (see tools/CMakeLists.txt) but also usable standalone:
 
     python3 tools/check_bench.py build/bench/bench_detector
-    python3 tools/check_bench.py build/bench/bench_replay
+    python3 tools/check_bench.py build/bench/bench_shadow
 
 Regression gates: each `--min-speedup KEY:X` requires the BEST speedup
 among result rows whose name contains KEY to be at least X (best-of so a
 single noisy window cannot flake CI; a real regression drags every row
 down). The speedup field is per-bench: detector rows carry
-`speedup_vs_map`, replay rows `speedup`, shadow rows `speedup_vs_base`.
-CI uses this to fail perf regressions outright:
+`speedup_vs_map`, shadow rows `speedup_vs_base`. CI uses this to fail
+perf regressions outright:
 
-    python3 tools/check_bench.py build/bench/bench_replay \\
-        --min-speedup compute-bound:1.5
+    python3 tools/check_bench.py build/bench/bench_detector \\
+        --min-speedup racy:1.25
 
 Footprint gates mirror the speedup gates on the memory axis: each
 `--max-bytes-ratio KEY:X` requires the BEST (smallest) bytes ratio among
@@ -33,8 +32,7 @@ footprint relative to the family's baseline implementation):
 
     python3 tools/check_bench.py build/bench/bench_shadow \\
         --min-speedup hot-dense:0.9 \\
-        --max-bytes-ratio sparse-giant:0.1 \\
-        --max-bytes-ratio spilled-replay:0.5
+        --max-bytes-ratio sparse-giant:0.1
 """
 
 import json
@@ -88,22 +86,6 @@ def validate_detector_rows(results):
     check("map" in impls, "no 'map' baseline rows in report")
     check("flat" in impls, "no 'flat' fast-path rows in report")
     check({"SRW", "MRW"} <= modes, f"expected SRW and MRW rows, got {sorted(modes)}")
-
-
-def validate_replay_rows(results):
-    best = 0.0
-    for i, row in enumerate(results):
-        check(row["events"] > 0, f"result {i} ({row['name']}) recorded no events")
-        check(row["iterations"] >= 1, f"result {i} has no detection runs")
-        check(row["fresh_detect_ms"] > 0, f"result {i} has non-positive fresh time")
-        check(row["replay_detect_ms"] > 0, f"result {i} has non-positive replay time")
-        check(row["speedup"] > 0, f"result {i} has non-positive speedup")
-        best = max(best, row["speedup"])
-
-    # Replaying the recorded stream must beat re-interpreting the test
-    # somewhere in the suite — the compute-bound workload exists precisely
-    # to exercise the case record/replay targets.
-    check(best >= 1.0, f"no workload shows any replay speedup (best {best:.2f}x)")
 
 
 def validate_constructs_rows(results):
@@ -160,7 +142,7 @@ def validate_shadow_rows(results):
         check(row["seconds"] > 0, f"result {i} has non-positive duration")
         check(row["total_accesses"] > 0, f"result {i} recorded no accesses")
         check(row["bytes_peak"] > 0, f"result {i} recorded no footprint")
-        if row["impl"] not in ("dense", "resident"):
+        if row["impl"] != "dense":
             check(
                 row.get("speedup_vs_base", 0) > 0,
                 f"result {i} ({row['name']}) missing speedup_vs_base",
@@ -171,12 +153,10 @@ def validate_shadow_rows(results):
             )
 
     # The report's point is the two-level-vs-dense comparison over every
-    # access shape, plus the out-of-core streaming comparison.
+    # access shape.
     check("dense" in impls, "no 'dense' baseline rows in report")
     check("sparse" in impls, "no 'sparse' rows in report")
-    check("resident" in impls, "no 'resident' baseline rows in report")
-    check("spilled" in impls, "no 'spilled' rows in report")
-    expected = {"sparse-giant", "hot-dense", "random-stride", "spilled-replay"}
+    expected = {"sparse-giant", "hot-dense", "random-stride"}
     check(
         expected <= families,
         f"expected families {sorted(expected)}, got {sorted(families)}",
@@ -239,22 +219,6 @@ BENCHES = {
         },
         validate_detector_rows,
         "speedup_vs_map",
-        None,
-    ),
-    "replay": (
-        {
-            "name",
-            "mode",
-            "iterations",
-            "events",
-            "repair_detect_ms_fresh",
-            "repair_detect_ms_replay",
-            "fresh_detect_ms",
-            "replay_detect_ms",
-            "speedup",
-        },
-        validate_replay_rows,
-        "speedup",
         None,
     ),
     "constructs": (

@@ -37,8 +37,7 @@ def run(cmd):
     env = dict(os.environ)
     # The oracle picks its detection legs itself; a leaking differential
     # env var must not change what it runs.
-    for var in ("TDR_BACKEND_CHECK", "TDR_REPLAY_CHECK", "TDR_LOG_SPILL"):
-        env.pop(var, None)
+    env.pop("TDR_BACKEND_CHECK", None)
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 

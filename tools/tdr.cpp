@@ -36,7 +36,6 @@
 #include "support/Diagnostics.h"
 #include "support/Json.h"
 #include "support/SourceManager.h"
-#include "trace/EventLog.h"
 
 #include <cerrno>
 #include <cstdio>
@@ -55,15 +54,15 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: tdr <command> [options]\n"
-      "  tdr repair  prog.hj [--arg N]... [--srw] [--no-replay]"
-      " [--constructs L] [-o out.hj]\n"
+      "  tdr repair  prog.hj [--arg N]... [--srw] [--constructs L]"
+      " [-o out.hj]\n"
       "  tdr races   prog.hj [--arg N]... [--srw]\n"
       "  tdr run     prog.hj [--arg N]... [--workers K]\n"
       "  tdr stats   prog.hj [--arg N]... [--procs P]\n"
       "  tdr dot     prog.hj [--arg N]...\n"
       "  tdr coverage prog.hj --arg N [--arg M]... (one input per --arg)\n"
-      "  tdr batch   manifest [--jobs N] [--srw] [--no-replay]"
-      " [--constructs L] [-o outdir]\n"
+      "  tdr batch   manifest [--jobs N] [--srw] [--constructs L]"
+      " [-o outdir]\n"
       "              manifest lines: <prog.hj> [int args...]\n"
       "  tdr fuzz    [--programs N] [--jobs N] [--seed S] [--summary FILE]\n"
       "              [--trophy-dir DIR] [--time-budget SEC] [--no-reduce]\n"
@@ -90,11 +89,6 @@ int usage() {
       "                       cross-checks every detection against the\n"
       "                       Theorem-1 oracle\n"
       "repair options:\n"
-      "  --no-replay          re-interpret the test input on every repair\n"
-      "                       iteration instead of replaying the recorded\n"
-      "                       event trace (TDR_REPLAY_CHECK=1 in the\n"
-      "                       environment cross-checks every replay against\n"
-      "                       a fresh run)\n"
       "  --constructs L       comma list of repair constructs the per-edge\n"
       "                       chooser may use; must include 'finish'.\n"
       "                       Default 'finish,future'; add 'isolated' to\n"
@@ -107,7 +101,6 @@ struct Options {
   std::string File;
   std::vector<int64_t> Args;
   bool Srw = false;
-  bool NoReplay = false;
   unsigned Workers = 1;
   unsigned Jobs = 1;
   unsigned Procs = 12;
@@ -164,8 +157,6 @@ bool parseOptions(int Argc, char **Argv, Options &O, bool RequireFile) {
       O.Args.push_back(std::atoll(Argv[++I]));
     } else if (!std::strcmp(Argv[I], "--srw")) {
       O.Srw = true;
-    } else if (!std::strcmp(Argv[I], "--no-replay")) {
-      O.NoReplay = true;
     } else if (!std::strcmp(Argv[I], "--no-reduce")) {
       O.NoReduce = true;
     } else if (!std::strcmp(Argv[I], "--no-repair")) {
@@ -325,7 +316,6 @@ int cmdRepair(const Options &O) {
   Opts.Mode =
       O.Srw ? EspBagsDetector::Mode::SRW : EspBagsDetector::Mode::MRW;
   Opts.Exec = execOptions(O);
-  Opts.UseReplay = !O.NoReplay;
   Opts.Constructs = O.Constructs;
   Opts.CollectDiag = !O.ReportFile.empty();
   Opts.SM = L.SM.get();
@@ -344,12 +334,12 @@ int cmdRepair(const Options &O) {
   std::fprintf(stderr,
                "%s: %zu S-DPST nodes, %llu race reports (%zu pairs), "
                "%u finish(es), %u force(s), %u isolated inserted, "
-               "%u detection run(s) (%u interpreted, %u replayed)\n",
+               "%u detection run(s)\n",
                O.File.c_str(), R.Stats.DpstNodes,
                static_cast<unsigned long long>(R.Stats.RawRaces),
                R.Stats.RacePairs, R.Stats.FinishesInserted,
                R.Stats.ForcesInserted, R.Stats.IsolatedInserted,
-               R.Stats.Iterations, R.Stats.Interpretations, R.Stats.Replays);
+               R.Stats.Iterations);
   for (SourceLoc Loc : R.InsertedAt) {
     LineCol LC = L.SM->lineCol(Loc);
     if (LC.Line)
@@ -373,18 +363,7 @@ int cmdRaces(const Options &O) {
     return 1;
   DetectOptions Detect;
   Detect.Mode = O.Srw ? EspBagsDetector::Mode::SRW : EspBagsDetector::Mode::MRW;
-  ExecOptions Exec = execOptions(O);
-  // With --report, record the event stream alongside detection so witness
-  // access sites can be refined to the exact statement (not just the step).
-  trace::EventLog Log;
-  std::unique_ptr<trace::RecorderMonitor> Recorder;
-  if (!O.ReportFile.empty()) {
-    Recorder = std::make_unique<trace::RecorderMonitor>(Log);
-    Exec.Monitor = Recorder.get();
-  }
-  Detection D = detectRaces(*L.Prog, Detect, std::move(Exec));
-  if (Recorder)
-    Recorder->flush();
+  Detection D = detectRaces(*L.Prog, Detect, execOptions(O));
   if (!D.ok()) {
     std::fprintf(stderr, "execution failed: %s\n", D.Exec.Error.c_str());
     return 1;
@@ -419,8 +398,8 @@ int cmdRaces(const Options &O) {
     J.Stats.RacePairs = D.Report.Pairs.size();
     J.Stats.DpstNodes = D.Tree->numNodes();
     diag::IterationDiag ID;
-    ID.Witnesses =
-        diag::buildWitnesses(*D.Tree, D.Report, L.SM.get(), &Log);
+    ID.Witnesses = diag::buildWitnesses(*D.Tree, D.Report, L.SM.get(),
+                                        L.Prog, execOptions(O));
     J.Diag.Iterations.push_back(std::move(ID));
     Rep.Jobs.push_back(std::move(J));
     if (!emitReport(Rep, O))
@@ -574,7 +553,6 @@ bool loadManifest(const Options &O, std::vector<RepairJob> &Jobs) {
     J.Source = SS.str();
     J.Opts.Mode =
         O.Srw ? EspBagsDetector::Mode::SRW : EspBagsDetector::Mode::MRW;
-    J.Opts.UseReplay = !O.NoReplay;
     J.Opts.Constructs = O.Constructs;
     J.Opts.CollectDiag = !O.ReportFile.empty();
     int64_t A;
