@@ -146,9 +146,9 @@ std::string withMainFinish(const std::string &S) {
 }
 
 /// Before trusting grades, check the test-input set itself (paper §9):
-/// every async site must spawn at least once, and every input must
-/// actually execute — a crashing input observes nothing, which is not the
-/// same as observing no races.
+/// every spawn site (async or future) must spawn at least once, and every
+/// input must actually execute — a crashing input observes nothing, which
+/// is not the same as observing no races.
 void checkTestSuitability() {
   SourceManager SM("skeleton.hj", Skeleton);
   DiagnosticsEngine Diags;
@@ -164,7 +164,7 @@ void checkTestSuitability() {
   Inputs[0].Args = {InputSize};
   Inputs[1].Args = {-5};
   CoverageReport C = analyzeTestCoverage(*Prog, Inputs);
-  std::printf("test-set check: %zu/%zu async sites exercised, %zu input(s) "
+  std::printf("test-set check: %zu/%zu spawn sites exercised, %zu input(s) "
               "failed to execute\n",
               C.NumExercised, C.Sites.size(), C.FailedInputs.size());
   for (const CoverageReport::FailedInput &F : C.FailedInputs)

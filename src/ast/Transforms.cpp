@@ -295,6 +295,16 @@ std::vector<AsyncStmt *> tdr::collectAsyncs(Program &P) {
   return Result;
 }
 
+std::vector<Stmt *> tdr::collectSpawnSites(Program &P) {
+  std::vector<Stmt *> Result;
+  for (FuncDecl *F : P.funcs())
+    walkStmts(F->body(), [&](Stmt *S) {
+      if (isa<AsyncStmt>(S) || isa<FutureStmt>(S))
+        Result.push_back(S);
+    });
+  return Result;
+}
+
 std::vector<FinishStmt *> tdr::collectFinishes(Program &P) {
   std::vector<FinishStmt *> Result;
   for (FuncDecl *F : P.funcs())

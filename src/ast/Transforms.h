@@ -60,6 +60,10 @@ unsigned lowerForasync(Program &P, AstContext &Ctx);
 /// Collects every async statement in the program, in pre-order.
 std::vector<AsyncStmt *> collectAsyncs(Program &P);
 
+/// Collects every task-spawning statement (async and future) in the
+/// program, in pre-order.
+std::vector<Stmt *> collectSpawnSites(Program &P);
+
 /// Collects every finish statement in the program, in pre-order.
 std::vector<FinishStmt *> collectFinishes(Program &P);
 

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runtime values for the HJ-mini interpreters. Scalars are stored inline;
+/// Runtime values for the HJ-mini interpreter. Scalars are stored inline;
 /// arrays are references to heap objects owned by the interpreter. Array
 /// objects carry stable ids that the race detector uses to name memory
 /// locations.

@@ -7,7 +7,7 @@
 /// \file
 /// The metrics registry: named counters, gauges, and histograms the
 /// pipeline increments at its hook points (S-DPST nodes built, ESP-bags
-/// shadow checks, DP subproblems solved, runtime steals, ...) and dumps as
+/// shadow checks, DP subproblems solved, batch jobs run, ...) and dumps as
 /// one JSON object (`tdr ... --metrics-json m.json`).
 ///
 /// Scoping contract: hook sites resolve instruments against the *current*
@@ -37,9 +37,9 @@
 ///   ... CChecks->inc(); ...
 /// \endcode
 ///
-/// Counters and gauges are safe to update from any thread (the runtime's
-/// workers update theirs concurrently). Histograms take a mutex and are
-/// meant for per-phase observations, not per-event hot paths.
+/// Counters and gauges are safe to update from any thread. Histograms take
+/// a mutex and are meant for per-phase observations, not per-event hot
+/// paths.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -62,13 +62,16 @@ tdr::repairProgramForInputs(Program &P, AstContext &Ctx,
 
 namespace {
 
-/// Counts dynamic async instances per static site.
-class AsyncCounter : public ExecMonitor {
+/// Counts dynamic async and future instances per static site.
+class SpawnCounter : public ExecMonitor {
 public:
   void onAsyncEnter(const AsyncStmt *S, const Stmt *) override {
     ++Counts[S];
   }
-  std::unordered_map<const AsyncStmt *, uint64_t> Counts;
+  void onFutureEnter(const FutureStmt *S, const Stmt *, uint32_t) override {
+    ++Counts[S];
+  }
+  std::unordered_map<const Stmt *, uint64_t> Counts;
 };
 
 } // namespace
@@ -76,9 +79,8 @@ public:
 CoverageReport tdr::analyzeTestCoverage(Program &P,
                                         const std::vector<ExecOptions> &Inputs) {
   CoverageReport Report;
-  std::vector<AsyncStmt *> Sites = collectAsyncs(P);
-  for (AsyncStmt *S : Sites) {
-    AsyncSiteCoverage C;
+  for (Stmt *S : collectSpawnSites(P)) {
+    SpawnSiteCoverage C;
     C.Site = S;
     C.Loc = S->loc();
     C.InstancesPerInput.assign(Inputs.size(), 0);
@@ -86,7 +88,7 @@ CoverageReport tdr::analyzeTestCoverage(Program &P,
   }
 
   for (size_t I = 0; I != Inputs.size(); ++I) {
-    AsyncCounter Counter;
+    SpawnCounter Counter;
     ExecOptions Opts = Inputs[I];
     Opts.Monitor = &Counter;
     ExecResult R = runProgram(P, Opts);
@@ -96,14 +98,14 @@ CoverageReport tdr::analyzeTestCoverage(Program &P,
       Report.FailedInputs.push_back({I, R.Error});
       continue;
     }
-    for (AsyncSiteCoverage &C : Report.Sites) {
+    for (SpawnSiteCoverage &C : Report.Sites) {
       auto It = Counter.Counts.find(C.Site);
       if (It != Counter.Counts.end())
         C.InstancesPerInput[I] = It->second;
     }
   }
 
-  for (const AsyncSiteCoverage &C : Report.Sites)
+  for (const SpawnSiteCoverage &C : Report.Sites)
     if (C.exercised())
       ++Report.NumExercised;
     else

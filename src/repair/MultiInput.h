@@ -14,9 +14,9 @@
 ///  * Test-coverage analysis — a §9 future-work item ("test coverage
 ///    analysis to evaluate the suitability of a given set of test cases
 ///    for program repair"): a repair is only as trustworthy as the inputs
-///    that drove it, so report which async sites the inputs actually
-///    exercised. An async statement that never spawned cannot have had
-///    its races observed or repaired.
+///    that drove it, so report which spawn sites (async and future
+///    statements) the inputs actually exercised. A task that never spawned
+///    cannot have had its races observed or repaired.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,8 +29,6 @@
 #include <vector>
 
 namespace tdr {
-
-class AsyncStmt;
 
 /// Outcome of a multi-input repair.
 struct MultiRepairResult {
@@ -61,9 +59,10 @@ MultiRepairResult repairProgramForInputs(Program &P, AstContext &Ctx,
                                          EspBagsDetector::Mode Mode =
                                              EspBagsDetector::Mode::MRW);
 
-/// Coverage of one async site across a set of test inputs.
-struct AsyncSiteCoverage {
-  const AsyncStmt *Site = nullptr;
+/// Coverage of one spawn site (an async or future statement) across a set
+/// of test inputs.
+struct SpawnSiteCoverage {
+  const Stmt *Site = nullptr;
   SourceLoc Loc;
   /// Dynamic instances per input (parallel to the inputs vector).
   std::vector<uint64_t> InstancesPerInput;
@@ -86,25 +85,25 @@ struct CoverageReport {
     std::string Error;
   };
 
-  std::vector<AsyncSiteCoverage> Sites;
+  std::vector<SpawnSiteCoverage> Sites;
   std::vector<FailedInput> FailedInputs;
   size_t NumExercised = 0;
   size_t NumUnexercised = 0;
 
-  /// Fraction of async sites exercised by at least one input.
-  double asyncCoverage() const {
+  /// Fraction of spawn sites exercised by at least one input.
+  double siteCoverage() const {
     size_t N = Sites.size();
     return N ? static_cast<double>(NumExercised) / static_cast<double>(N)
              : 1.0;
   }
-  /// A test set is suitable for repair when every async site spawned at
+  /// A test set is suitable for repair when every spawn site spawned at
   /// least once (otherwise some potential races were never observable) and
   /// every input actually executed (a crashing input observed nothing).
   bool suitable() const { return NumUnexercised == 0 && FailedInputs.empty(); }
 };
 
 /// Runs \p P on every input, counting dynamic instances of every async
-/// statement. Inputs that fail at run time are recorded in
+/// and future statement. Inputs that fail at run time are recorded in
 /// CoverageReport::FailedInputs rather than silently skipped.
 CoverageReport analyzeTestCoverage(Program &P,
                                    const std::vector<ExecOptions> &Inputs);

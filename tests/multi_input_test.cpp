@@ -138,7 +138,7 @@ TEST(Coverage, DetectsUnexercisedAsyncSites) {
   EXPECT_EQ(C.NumExercised, 1u);
   EXPECT_EQ(C.NumUnexercised, 1u);
   EXPECT_FALSE(C.suitable());
-  EXPECT_DOUBLE_EQ(C.asyncCoverage(), 0.5);
+  EXPECT_DOUBLE_EQ(C.siteCoverage(), 0.5);
 }
 
 TEST(Coverage, FullCoverageWithAdequateInputs) {
@@ -153,6 +153,43 @@ TEST(Coverage, FullCoverageWithAdequateInputs) {
   // The unconditional async ran on both inputs; the guarded one on one.
   EXPECT_EQ(C.Sites[0].totalInstances(), 2u);
   EXPECT_EQ(C.Sites[1].totalInstances(), 1u);
+}
+
+TEST(Coverage, CountsFutureSites) {
+  // A future is a spawn site like an async: if no input takes the branch,
+  // no race of its body was observable, so the test set is not suitable.
+  const char *GuardedFuture = R"(
+var X: int = 0;
+func produce(): int {
+  X = 1;
+  return 1;
+}
+func main() {
+  var n: int = arg(0);
+  if (n > 10) {
+    future f = produce();
+  }
+  X = 2;
+  print(X);
+}
+)";
+  ParsedProgram P = parseAndCheck(GuardedFuture);
+  ASSERT_TRUE(P.ok()) << P.errors();
+  std::vector<ExecOptions> Inputs(2);
+  Inputs[0].Args = {1};
+  Inputs[1].Args = {2};
+  CoverageReport C = analyzeTestCoverage(*P.Prog, Inputs);
+  ASSERT_EQ(C.Sites.size(), 1u);
+  EXPECT_FALSE(C.Sites[0].exercised());
+  EXPECT_EQ(C.NumUnexercised, 1u);
+  EXPECT_FALSE(C.suitable());
+
+  // An input that takes the branch exercises the future once.
+  Inputs[1].Args = {20};
+  CoverageReport C2 = analyzeTestCoverage(*P.Prog, Inputs);
+  ASSERT_EQ(C2.Sites.size(), 1u);
+  EXPECT_EQ(C2.Sites[0].InstancesPerInput, (std::vector<uint64_t>{0, 1}));
+  EXPECT_TRUE(C2.suitable());
 }
 
 TEST(Coverage, CrashingInputIsReportedNotSkipped) {

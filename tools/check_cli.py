@@ -2,15 +2,16 @@
 """Validate the tdr CLI's option handling.
 
 The CLI's contract (see tools/tdr.cpp): garbage in any validated option —
-`--constructs`, `--workers`, `--procs` — and any unknown option (the
-removed detector-selector flag among them) exits 2 with a one-line diagnostic on
-stderr, before any input file is touched. Valid invocations must run
-normally: `tdr races` exits 0 on a race-free input and 1 when races are
-found, and both count as success here. The `--constructs` allowlist is
-also exercised end to end: the
-default list forces a future on the pipeline program where that is
-strictly cheaper, while `--constructs finish` pins the paper's
-finish-only repair, and both outputs must be race free.
+`--constructs`, `--procs` — and any unknown option (the removed
+detector-selector and worker-count flags among them) exits 2 with a
+one-line diagnostic on stderr, before any input file is touched. Valid
+invocations must run normally: `tdr races` exits 0 on a race-free input
+and 1 when races are found, and both count as success here; `tdr run`
+interprets serially and prints the program's output. The `--constructs`
+allowlist is also exercised end to end: the default list forces a future
+on the pipeline program where that is strictly cheaper, while
+`--constructs finish` pins the paper's finish-only repair, and both
+outputs must be race free.
 
 Invoked from CTest (see tools/CMakeLists.txt) but also usable standalone:
 
@@ -133,12 +134,14 @@ def main():
             run(races + [removed, "espbags"]),
             f"unknown option '{removed}'",
         )
-        # Same convention for the numeric options.
+        # `tdr run` is serial only: the worker-count flag is gone too.
+        removed = "--" + "workers"
         expect_error(
-            "garbage --workers",
-            run([tdr, "run", prog, "--workers", "banana"]),
-            "--workers expects a positive integer",
+            f"removed {removed}",
+            run([tdr, "run", prog, removed, "4"]),
+            f"unknown option '{removed}'",
         )
+        # Same convention for the numeric options.
         expect_error(
             "garbage --procs",
             run([tdr, "stats", prog, "--procs", "-3"]),
@@ -243,7 +246,8 @@ def main():
         )
         check(os.path.exists(report), "races --report: no report file")
 
-        # End to end: the repaired program is race free.
+        # End to end: the repaired program is race free and runs to the
+        # serial answer, 1 + 2 + ... + 6.
         out = os.path.join(tmp, "repaired.hj")
         expect_success(
             "repair",
@@ -256,6 +260,13 @@ def main():
                 "repaired program race free",
                 run([tdr, "races", out, "--arg", "6"]),
                 ok_codes=(0,),
+            )
+            ran = run([tdr, "run", out, "--arg", "6"])
+            expect_success("run repaired program", ran, ok_codes=(0,))
+            check(
+                ran.stdout == "21\n",
+                f"run repaired program: expected stdout '21', got "
+                f"{ran.stdout!r}",
             )
 
     if FAILURES:

@@ -8,7 +8,7 @@
 //
 //   tdr repair  prog.hj [--arg N]... [--srw] [-o out.hj]   repair races
 //   tdr races   prog.hj [--arg N]... [--srw]               detect and list
-//   tdr run     prog.hj [--arg N]... [--workers K]         run (par if K>1)
+//   tdr run     prog.hj [--arg N]...                       run serially
 //   tdr stats   prog.hj [--arg N]... [--procs P]           T1/Tinf/TP
 //   tdr dot     prog.hj [--arg N]...                       S-DPST Graphviz
 //   tdr batch   manifest [--jobs N] [--srw] [-o outdir]    parallel repairs
@@ -25,11 +25,9 @@
 #include "frontend/Parser.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "pinterp/ParallelInterpreter.h"
 #include "race/Detect.h"
 #include "repair/MultiInput.h"
 #include "repair/RepairDriver.h"
-#include "runtime/Runtime.h"
 #include "sched/Schedule.h"
 #include "sema/Sema.h"
 #include "suite/Benchmarks.h"
@@ -57,7 +55,7 @@ int usage() {
       "  tdr repair  prog.hj [--arg N]... [--srw] [--constructs L]"
       " [-o out.hj]\n"
       "  tdr races   prog.hj [--arg N]... [--srw]\n"
-      "  tdr run     prog.hj [--arg N]... [--workers K]\n"
+      "  tdr run     prog.hj [--arg N]...\n"
       "  tdr stats   prog.hj [--arg N]... [--procs P]\n"
       "  tdr dot     prog.hj [--arg N]...\n"
       "  tdr coverage prog.hj --arg N [--arg M]... (one input per --arg)\n"
@@ -101,7 +99,6 @@ struct Options {
   std::string File;
   std::vector<int64_t> Args;
   bool Srw = false;
-  unsigned Workers = 1;
   unsigned Jobs = 1;
   unsigned Procs = 12;
   /// Fuzz-farm knobs (tdr fuzz only).
@@ -180,9 +177,6 @@ bool parseOptions(int Argc, char **Argv, Options &O, bool RequireFile) {
         std::fprintf(stderr, "error: --constructs: %s\n", Err.c_str());
         return false;
       }
-    } else if (!std::strcmp(Argv[I], "--workers") && I + 1 != Argc) {
-      if (!parsePositive("--workers", Argv[++I], O.Workers))
-        return false;
     } else if (!std::strcmp(Argv[I], "--jobs") && I + 1 != Argc) {
       if (!parsePositive("--jobs", Argv[++I], O.Jobs))
         return false;
@@ -199,7 +193,6 @@ bool parseOptions(int Argc, char **Argv, Options &O, bool RequireFile) {
       O.ReportFile = Argv[++I];
     } else if (!std::strcmp(Argv[I], "--arg") ||
                !std::strcmp(Argv[I], "--constructs") ||
-               !std::strcmp(Argv[I], "--workers") ||
                !std::strcmp(Argv[I], "--jobs") ||
                !std::strcmp(Argv[I], "--procs") ||
                !std::strcmp(Argv[I], "--programs") ||
@@ -435,13 +428,7 @@ int cmdRun(const Options &O) {
   Loaded L;
   if (!load(O.File, L))
     return 1;
-  ExecResult R;
-  if (O.Workers > 1) {
-    Runtime RT(O.Workers);
-    R = runProgramParallel(*L.Prog, RT, execOptions(O));
-  } else {
-    R = runProgram(*L.Prog, execOptions(O));
-  }
+  ExecResult R = runProgram(*L.Prog, execOptions(O));
   std::fputs(R.Output.c_str(), stdout);
   if (!R.Ok) {
     LineCol LC = L.SM->lineCol(R.ErrorLoc);
@@ -509,17 +496,18 @@ int cmdCoverage(const Options &O) {
   for (const CoverageReport::FailedInput &F : C.FailedInputs)
     std::printf("input %zu (--arg %lld) FAILED to execute: %s\n", F.Index,
                 static_cast<long long>(O.Args[F.Index]), F.Error.c_str());
-  for (const AsyncSiteCoverage &Site : C.Sites) {
+  for (const SpawnSiteCoverage &Site : C.Sites) {
     LineCol LC = L.SM->lineCol(Site.Loc);
-    std::printf("async at %s:%u:%u  instances:", O.File.c_str(), LC.Line,
-                LC.Col);
+    std::printf("%s at %s:%u:%u  instances:",
+                isa<FutureStmt>(Site.Site) ? "future" : "async",
+                O.File.c_str(), LC.Line, LC.Col);
     for (uint64_t N : Site.InstancesPerInput)
       std::printf(" %llu", static_cast<unsigned long long>(N));
     std::printf("%s\n", Site.exercised() ? "" : "   <- NEVER EXERCISED");
   }
-  std::printf("async coverage: %.0f%% (%zu/%zu sites); %zu input(s) failed; "
-              "test set %s for repair\n",
-              C.asyncCoverage() * 100.0, C.NumExercised, C.Sites.size(),
+  std::printf("spawn-site coverage: %.0f%% (%zu/%zu sites); %zu input(s) "
+              "failed; test set %s for repair\n",
+              C.siteCoverage() * 100.0, C.NumExercised, C.Sites.size(),
               C.FailedInputs.size(),
               C.suitable() ? "is suitable" : "is NOT suitable");
   return C.suitable() ? 0 : 1;
