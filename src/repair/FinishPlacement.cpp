@@ -42,45 +42,36 @@ private:
   std::vector<uint8_t> Cache;
 };
 
-/// CrossMin[i][k]: the smallest edge sink y with source x in [i, k] and
-/// y > k; Infinite-as-uint32 when none. succ(i..k) crosses into (k, j]
-/// iff CrossMin[i][k] <= j.
-class CrossingTable {
-public:
-  explicit CrossingTable(const PlacementProblem &P) : N(P.size()) {
-    std::vector<std::vector<uint32_t>> Succ(N);
-    for (auto [X, Y] : P.Edges)
-      Succ[X].push_back(Y);
-    for (auto &S : Succ)
-      std::sort(S.begin(), S.end());
-
-    Table.assign(N * N, NoEdge);
-    for (uint32_t K = 0; K != N; ++K) {
-      uint32_t RunningMin = NoEdge;
-      for (int64_t I = K; I >= 0; --I) {
-        // Smallest successor of node I strictly greater than K.
-        const auto &S = Succ[static_cast<size_t>(I)];
-        auto It = std::upper_bound(S.begin(), S.end(), K);
-        if (It != S.end())
-          RunningMin = std::min(RunningMin, *It);
-        Table[static_cast<size_t>(I) * N + K] = RunningMin;
-      }
-    }
-  }
-
-  bool crosses(uint32_t I, uint32_t K, uint32_t J) const {
-    return Table[static_cast<size_t>(I) * N + K] <= J;
-  }
-
-private:
-  static constexpr uint32_t NoEdge = std::numeric_limits<uint32_t>::max();
-  size_t N;
-  std::vector<uint32_t> Table;
-};
-
 } // namespace
 
+CrossingTable::CrossingTable(const PlacementProblem &P) : N(P.size()) {
+  std::vector<std::vector<uint32_t>> Succ(N);
+  for (auto [X, Y] : P.Edges)
+    Succ[X].push_back(Y);
+  for (auto &S : Succ)
+    std::sort(S.begin(), S.end());
+
+  Table.assign(N * N, NoEdge);
+  for (uint32_t K = 0; K != N; ++K) {
+    uint32_t RunningMin = NoEdge;
+    for (int64_t I = K; I >= 0; --I) {
+      // Smallest successor of node I strictly greater than K.
+      const auto &S = Succ[static_cast<size_t>(I)];
+      auto It = std::upper_bound(S.begin(), S.end(), K);
+      if (It != S.end())
+        RunningMin = std::min(RunningMin, *It);
+      Table[static_cast<size_t>(I) * N + K] = RunningMin;
+    }
+  }
+}
+
 PlacementResult tdr::placeFinishes(const PlacementProblem &Problem,
+                                   const ValidRangeFn &Valid) {
+  return placeFinishes(Problem, CrossingTable(Problem), Valid);
+}
+
+PlacementResult tdr::placeFinishes(const PlacementProblem &Problem,
+                                   const CrossingTable &Cross,
                                    const ValidRangeFn &Valid) {
   obs::ScopedSpan Span(obs::phase::PlacementDp);
   obs::counter("dp.runs").inc();
@@ -91,7 +82,6 @@ PlacementResult tdr::placeFinishes(const PlacementProblem &Problem,
     return Result;
   }
 
-  CrossingTable Cross(Problem);
   ValidCache IsValid(N, Valid);
   uint64_t Subproblems = N; // the N base cases below
   uint64_t PartitionsTried = 0;

@@ -58,6 +58,29 @@ struct PlacementProblem {
 /// mapping would later refuse to apply.
 using ValidRangeFn = std::function<bool(uint32_t I, uint32_t K)>;
 
+/// CrossMin[i][k]: the smallest edge sink y with source x in [i, k] and
+/// y > k, or NoEdge. succ(i..k) crosses into (k, j] iff CrossMin[i][k] <= j.
+/// O(n^2 log m) to build. One table serves a whole finish-edge subset: the
+/// DP reads it for its crossing test, and the static placer for the sinks
+/// a finish around i..k must leave outside.
+class CrossingTable {
+public:
+  static constexpr uint32_t NoEdge = UINT32_MAX;
+
+  explicit CrossingTable(const PlacementProblem &P);
+
+  uint32_t minSink(uint32_t I, uint32_t K) const {
+    return Table[static_cast<size_t>(I) * N + K];
+  }
+  bool crosses(uint32_t I, uint32_t K, uint32_t J) const {
+    return minSink(I, K) <= J;
+  }
+
+private:
+  size_t N;
+  std::vector<uint32_t> Table;
+};
+
 /// DP outcome.
 struct PlacementResult {
   bool Feasible = false;
@@ -67,8 +90,13 @@ struct PlacementResult {
   uint64_t Cost = 0;
 };
 
-/// Runs Algorithms 1 and 3 on \p Problem. O(n^3) time after an
-/// O(n^2 log m) crossing-edge precomputation.
+/// Runs Algorithms 1 and 3 on \p Problem. O(n^3) time; \p Cross must be
+/// built from \p Problem.
+PlacementResult placeFinishes(const PlacementProblem &Problem,
+                              const CrossingTable &Cross,
+                              const ValidRangeFn &Valid);
+
+/// As above, building the crossing table first.
 PlacementResult placeFinishes(const PlacementProblem &Problem,
                               const ValidRangeFn &Valid);
 

@@ -17,6 +17,7 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <optional>
 
 using namespace tdr;
 
@@ -87,21 +88,32 @@ GroupApply solveGroup(const Dpst &Tree, const DepGroup &G,
   }
 
   // The finish DP runs on the finish-assigned edge subset; the validity
-  // oracle must see the same subset (mapBlockEdit's forbidden-sink check
-  // reads the group's edges), so it is bound to a group copy whose edges
-  // are swapped per solve. GFinish is also the group the chosen ranges are
-  // applied against, so apply() re-checks under the subset it solved.
+  // oracle must see the same subset (its swallowed-sink test reads the
+  // subset's crossing table), so both are bound to a group copy whose
+  // edges are swapped per subset, together with one crossing table that
+  // the DP and the oracle share. GFinish is also the group the chosen
+  // ranges are applied against, so apply() re-checks under the subset it
+  // solved.
   std::vector<diag::PlacementRejection> Rejected;
   DepGroup GFinish = G;
+  std::optional<CrossingTable> Cross;
+  auto BindFinishEdges =
+      [&](const std::vector<std::pair<uint32_t, uint32_t>> &Edges) {
+        if (Cross && Edges == GFinish.Problem.Edges)
+          return;
+        GFinish.Problem.Edges = Edges;
+        Cross.emplace(GFinish.Problem);
+      };
   SolveFinishFn SolveFinish =
       [&](const std::vector<std::pair<uint32_t, uint32_t>> &Edges) {
-        GFinish.Problem.Edges = Edges;
-        return placeFinishes(GFinish.Problem, [&](uint32_t I, uint32_t K) {
-          bool Ok = Placer.isValidRange(GFinish, I, K);
-          if (!Ok && Opts.CollectDiag && Rejected.size() < MaxRejections)
-            Rejected.push_back({I, K, Placer.lastRejectReason()});
-          return Ok;
-        });
+        BindFinishEdges(Edges);
+        return placeFinishes(
+            GFinish.Problem, *Cross, [&](uint32_t I, uint32_t K) {
+              bool Ok = Placer.isValidRange(GFinish, *Cross, I, K);
+              if (!Ok && Opts.CollectDiag && Rejected.size() < MaxRejections)
+                Rejected.push_back({I, K, Placer.lastRejectReason()});
+              return Ok;
+            });
       };
 
   GroupPlan Plan = planConstructs(G.Problem, Opts.Constructs, Cands,
@@ -115,10 +127,11 @@ GroupApply solveGroup(const Dpst &Tree, const DepGroup &G,
       EdgeIsFinish[E] =
           Plan.Edges[E].Construct == RepairConstruct::Finish ? 1 : 0;
     // Re-bind the oracle's group to the finish subset the plan solved.
-    GFinish.Problem.Edges.clear();
+    std::vector<std::pair<uint32_t, uint32_t>> FinishEdges;
     for (size_t E = 0; E != NE; ++E)
       if (EdgeIsFinish[E])
-        GFinish.Problem.Edges.push_back(G.Problem.Edges[E]);
+        FinishEdges.push_back(G.Problem.Edges[E]);
+    BindFinishEdges(FinishEdges);
   } else {
     // Infeasible: the oracle rejected every partition, including some
     // single-node wraps. Still try to serialize each race source
@@ -131,7 +144,7 @@ GroupApply solveGroup(const Dpst &Tree, const DepGroup &G,
     }
     std::sort(Ranges.begin(), Ranges.end());
     Ranges.erase(std::unique(Ranges.begin(), Ranges.end()), Ranges.end());
-    GFinish.Problem.Edges = G.Problem.Edges;
+    BindFinishEdges(G.Problem.Edges);
   }
 
   // Provenance cost model: the group's critical path with no repairs vs
@@ -159,40 +172,73 @@ GroupApply solveGroup(const Dpst &Tree, const DepGroup &G,
   // every instance of the site), so before applying a range check that it
   // still resolves a live race; otherwise the same statement would collect
   // redundant nested finishes. Races whose edge went to a non-finish
-  // construct never justify a range.
-  std::vector<char> Alive(G.Races.size(), 1);
-  auto RefreshAlive = [&] {
-    for (size_t R = 0; R != G.Races.size(); ++R)
-      if (Alive[R] &&
-          !Tree.mayHappenInParallel(G.Races[R].Src, G.Races[R].Snk))
-        Alive[R] = 0;
+  // construct never justify a range. Races are bucketed by source vertex
+  // and matched to their edge by one binary search each, so a range
+  // visits only the races that leave it.
+  const size_t NR = G.Races.size();
+  std::vector<std::vector<uint32_t>> BySrc(G.Nodes.size());
+  std::vector<size_t> RaceEdge(NR);
+  std::vector<char> Alive(NR), Justifies(NR);
+  uint64_t Steps = NR;
+  for (size_t R = 0; R != NR; ++R) {
+    auto It = std::lower_bound(G.Problem.Edges.begin(), G.Problem.Edges.end(),
+                               G.RaceIdx[R]);
+    RaceEdge[R] = It != G.Problem.Edges.end() && *It == G.RaceIdx[R]
+                      ? static_cast<size_t>(It - G.Problem.Edges.begin())
+                      : NE;
+    Justifies[R] = RaceEdge[R] == NE || EdgeIsFinish[RaceEdge[R]];
+    Alive[R] = Tree.mayHappenInParallel(G.Races[R].Src, G.Races[R].Snk);
+    BySrc[G.RaceIdx[R].first].push_back(static_cast<uint32_t>(R));
+  }
+  auto Needed = [&](uint32_t S, uint32_t E) {
+    for (uint32_t X = S; X <= E; ++X)
+      for (uint32_t R : BySrc[X]) {
+        ++Steps;
+        if (Alive[R] && Justifies[R] && E < G.RaceIdx[R].second)
+          return true;
+      }
+    return false;
   };
-  RefreshAlive();
-  auto EdgeIndexOf = [&](uint32_t X, uint32_t Y) -> size_t {
-    for (size_t E = 0; E != NE; ++E)
-      if (G.Problem.Edges[E] == std::make_pair(X, Y))
-        return E;
-    return NE;
+  // A finish node F inserted on the NS-LCA's spine (between it and its
+  // non-scope children) orders a group race exactly when F holds the
+  // race's source vertex but not its sink: the non-scope child on the
+  // source side becomes F (Theorem 1). Every other instance changes no
+  // group race: one below a vertex leaves that vertex the non-scope
+  // child, and one above the NS-LCA or outside its subtree holds both
+  // steps or neither. So only the races leaving the vertices under each
+  // instance are re-checked. That is more than [S, E] when the wrap spans
+  // whole statements, or when another instance of the block lies on the
+  // spine (recursion).
+  auto RefreshAlive = [&](const std::vector<DpstNode *> &Instances) {
+    for (const DpstNode *F : Instances) {
+      if (Tree.isAncestorOrSelf(F, G.Lca))
+        continue;
+      auto It = std::lower_bound(G.Nodes.begin(), G.Nodes.end(), F->pre(),
+                                 [](const DpstNode *N, uint32_t Pre) {
+                                   return N->pre() < Pre;
+                                 });
+      for (; It != G.Nodes.end() && Tree.isAncestorOrSelf(F, *It); ++It) {
+        for (uint32_t R : BySrc[static_cast<size_t>(It - G.Nodes.begin())]) {
+          ++Steps;
+          if (Alive[R] &&
+              !Tree.mayHappenInParallel(G.Races[R].Src, G.Races[R].Snk))
+            Alive[R] = 0;
+        }
+      }
+    }
   };
 
   for (auto [S, E] : Ranges) {
-    bool Needed = false;
-    for (size_t R = 0; R != G.Races.size() && !Needed; ++R) {
-      auto [X, Y] = G.RaceIdx[R];
-      size_t EI = EdgeIndexOf(X, Y);
-      Needed = Alive[R] && (EI == NE || EdgeIsFinish[EI]) && S <= X &&
-               X <= E && E < Y;
-    }
-    if (!Needed)
+    if (!Needed(S, E))
       continue;
-    if (auto A = Placer.apply(GFinish, S, E)) {
+    if (auto A = Placer.apply(GFinish, *Cross, S, E)) {
       Result.InsertedAt.push_back(A->AnchorLoc);
       if (Opts.CollectDiag) {
         diag::FinishProvenance Prov;
         Prov.Iteration = Iter;
         Prov.GroupLcaId = G.Lca->id();
         Prov.Anchor = diag::resolvePos(Opts.SM, A->AnchorLoc);
-        Prov.DynamicInstances = A->DynamicInstances;
+        Prov.DynamicInstances = static_cast<unsigned>(A->Instances.size());
         Prov.CostBefore = CostBefore;
         Prov.CostAfter = CostAfter;
         for (size_t EI = 0; EI != NE; ++EI) {
@@ -209,9 +255,10 @@ GroupApply solveGroup(const Dpst &Tree, const DepGroup &G,
         Result.Diag.Repairs.push_back(std::move(Prov));
       }
       ++Out.Finishes;
-      RefreshAlive();
+      RefreshAlive(A->Instances);
     }
   }
+  obs::counter("repair.oracle_steps").inc(Steps);
 
   // Non-finish edits, per edge. applyForce/applyIsolated re-map under the
   // post-finish AST (indices looked up through synthesized wrappers); a
@@ -233,8 +280,8 @@ GroupApply solveGroup(const Dpst &Tree, const DepGroup &G,
         ++Out.Forces;
       else
         ++Out.Isolated;
-      for (size_t R = 0; R != G.Races.size(); ++R)
-        if (G.RaceIdx[R] == std::make_pair(EC.X, EC.Y))
+      for (size_t R = 0; R != NR; ++R)
+        if (RaceEdge[R] == EI)
           Out.NonFinishResolved.push_back(
               {G.Races[R].Src, G.Races[R].Snk});
       if (Opts.CollectDiag) {

@@ -7,6 +7,7 @@
 #include "repair/StaticPlacer.h"
 
 #include "ast/Transforms.h"
+#include "obs/Metrics.h"
 
 #include <algorithm>
 #include <cassert>
@@ -19,7 +20,8 @@ constexpr size_t Npos = static_cast<size_t>(-1);
 } // namespace
 
 StaticPlacer::StaticPlacer(Dpst &Tree, AstContext &Ctx, Program &Prog)
-    : Tree(Tree), Ctx(Ctx), Prog(Prog) {
+    : Tree(Tree), Ctx(Ctx), Prog(Prog),
+      OracleSteps(obs::counter("repair.oracle_steps")) {
   indexProgram();
   indexTree();
 }
@@ -132,23 +134,77 @@ bool containsThroughSynthesized(const Stmt *Container, const Stmt *S) {
   return false;
 }
 
-/// Collects \p S and, through synthesized finishes, the statements earlier
-/// edits moved under it.
-void addOwners(const Stmt *S, std::unordered_set<const Stmt *> &Set) {
-  Set.insert(S);
+/// Visits \p S and, through synthesized finishes, the statements earlier
+/// edits moved under it: the statements that may own S-DPST nodes created
+/// by running S.
+template <typename Fn> void forEachOwner(const Stmt *S, Fn &&Visit) {
+  Visit(S);
   if (const auto *F = dyn_cast<FinishStmt>(S); F && F->isSynthesized()) {
-    addOwners(F->body(), Set);
+    forEachOwner(F->body(), Visit);
     return;
   }
   if (const auto *I = dyn_cast<IsolatedStmt>(S); I && I->isSynthesized()) {
-    addOwners(I->body(), Set);
+    forEachOwner(I->body(), Visit);
     return;
   }
   if (const auto *B = dyn_cast<BlockStmt>(S))
     for (const Stmt *C : B->stmts())
-      addOwners(C, Set);
+      forEachOwner(C, Visit);
+}
+
+/// Index of \p N among \p Kids (sorted by preorder position), or Npos.
+size_t positionOf(const std::vector<const DpstNode *> &Kids,
+                  const DpstNode *N) {
+  auto It = std::lower_bound(
+      Kids.begin(), Kids.end(), N->pre(),
+      [](const DpstNode *C, uint32_t Pre) { return C->pre() < Pre; });
+  return It != Kids.end() && *It == N ? static_cast<size_t>(It - Kids.begin())
+                                      : Npos;
 }
 } // namespace
+
+uint32_t StaticPlacer::topIndex(const BlockStmt *B, const Stmt *S) {
+  auto [It, New] = StmtIndexes.try_emplace(B);
+  std::unordered_map<const Stmt *, uint32_t> &Index = It->second;
+  if (New)
+    for (uint32_t I = 0; I != B->stmts().size(); ++I)
+      forEachOwner(B->stmts()[I], [&, I = I](const Stmt *Owner) {
+        [[maybe_unused]] bool Fresh = Index.emplace(Owner, I).second;
+        assert(Fresh && "a statement sits under one top-level statement");
+      });
+  auto Found = Index.find(S);
+  return Found != Index.end() ? Found->second : NoStmt;
+}
+
+const StaticPlacer::KidIndex &StaticPlacer::kidIndex(const DpstNode *P) {
+  auto [It, New] = KidIndexes.try_emplace(P);
+  KidIndex &KI = It->second;
+  if (!New)
+    return KI;
+  const BlockStmt *B = P->container();
+  uint32_t Prev = 0;
+  for (const DpstNode *C : Tree.children(P)) {
+    uint32_t Lo = topIndex(B, C->owner()), Hi = topIndex(B, C->ownerLast());
+    KI.Kids.push_back(C);
+    if (Lo == NoStmt || Hi == NoStmt)
+      continue;
+    // The block runs its statements in order, and a node's owners are
+    // the statements running while it is open.
+    KI.Ordered &= Prev <= Lo && Lo <= Hi;
+    Prev = Hi;
+    KI.Regular.push_back(static_cast<uint32_t>(KI.Kids.size() - 1));
+    KI.Lo.push_back(Lo);
+    KI.Hi.push_back(Hi);
+  }
+  assert(KI.Ordered && "children out of statement order");
+  OracleSteps.inc(KI.Kids.size());
+  return KI;
+}
+
+void StaticPlacer::dropIndexes() {
+  StmtIndexes.clear();
+  KidIndexes.clear();
+}
 
 size_t StaticPlacer::findStmtIndex(const BlockStmt *B, const Stmt *S) const {
   const auto &Stmts = B->stmts();
@@ -229,76 +285,71 @@ StaticPlacer::findInsertionPoints(const DpstNode *L, DpstNode *First,
 //===----------------------------------------------------------------------===//
 
 std::optional<StaticPlacer::Edit>
-StaticPlacer::mapBlockEdit(const DepGroup &G, uint32_t I, uint32_t K,
-                           const InsertionPoint &IP) {
+StaticPlacer::mapBlockEdit(const DepGroup &G, const CrossingTable &Cross,
+                           uint32_t I, uint32_t K, const InsertionPoint &IP) {
   DpstNode *P = IP.Parent;
   const BlockStmt *CB = P->container();
   assert(CB && "block edits need a container");
+  OracleSteps.inc();
 
-  const Stmt *FirstStmt = IP.First->owner();
-  const Stmt *LastStmt = IP.Last->ownerLast();
-  if (!FirstStmt || !LastStmt)
+  // The wrap is the statement range [IF, IL] of CB. A child is in it when
+  // its owner is, and covered when its last owner is too.
+  uint32_t IF = topIndex(CB, IP.First->owner());
+  uint32_t IL = topIndex(CB, IP.Last->ownerLast());
+  if (IF == NoStmt || IL == NoStmt || IF > IL)
     return std::nullopt;
-  size_t IF = findStmtIndex(CB, FirstStmt);
-  size_t IL = findStmtIndex(CB, LastStmt);
-  if (IF == Npos || IL == Npos || IF > IL)
+  assert(IF == findStmtIndex(CB, IP.First->owner()) &&
+         IL == findStmtIndex(CB, IP.Last->ownerLast()));
+  const KidIndex &KI = kidIndex(P);
+  size_t Begin = positionOf(KI.Kids, IP.First);
+  size_t End = positionOf(KI.Kids, IP.Last);
+  if (!KI.Ordered || Begin == Npos || End == Npos)
     return std::nullopt;
 
-  // Owner set of the statement range (through synthesized finishes).
-  std::unordered_set<const Stmt *> OwnerSet;
-  for (size_t S = IF; S <= IL; ++S)
-    addOwners(CB->stmts()[S], OwnerSet);
-
-  // Classify P's children against the wrap and find the covered run.
-  const std::vector<DpstNode *> Kids = Tree.childList(P);
-  size_t Begin = Npos, End = Npos;
-  size_t CoverBegin = Npos, CoverEnd = Npos;
-  for (size_t Idx = 0; Idx != Kids.size(); ++Idx) {
-    const DpstNode *C = Kids[Idx];
-    if (C == IP.First)
-      Begin = Idx;
-    if (C == IP.Last)
-      End = Idx;
-    bool In1 = C->owner() && OwnerSet.count(C->owner());
-    bool In2 = C->ownerLast() && OwnerSet.count(C->ownerLast());
-    if (In1 != In2) {
-      // A statement boundary splits this child. Steps carry no
-      // synchronization structure, so they may safely stay outside the
-      // finish; anything else is unmappable.
-      if (!C->isStep())
-        return std::nullopt;
-      continue;
-    }
-    if (!In1)
-      continue;
-    if (CoverBegin == Npos)
-      CoverBegin = Idx;
-    else if (CoverEnd + 1 != Idx)
-      return std::nullopt; // covered children must be consecutive
-    CoverEnd = Idx;
-  }
-  if (CoverBegin == Npos || CoverBegin > Begin || CoverEnd < End)
+  // Statement order makes the covered children the regular ones from the
+  // first owned at or after IF to the last ending at or before IL. A child
+  // a statement boundary splits can only be the regular neighbor on either
+  // side of that run; steps carry no synchronization structure and may
+  // stay outside the finish, anything else is unmappable.
+  size_t R1 = static_cast<size_t>(
+      std::lower_bound(KI.Lo.begin(), KI.Lo.end(), IF) - KI.Lo.begin());
+  size_t R2 = static_cast<size_t>(
+      std::upper_bound(KI.Hi.begin(), KI.Hi.end(), IL) - KI.Hi.begin());
+  auto SplitNonStep = [&](size_t R) {
+    bool In1 = IF <= KI.Lo[R] && KI.Lo[R] <= IL;
+    bool In2 = IF <= KI.Hi[R] && KI.Hi[R] <= IL;
+    return In1 != In2 && !KI.Kids[KI.Regular[R]]->isStep();
+  };
+  if ((R1 > 0 && SplitNonStep(R1 - 1)) ||
+      (R2 < KI.Regular.size() && SplitNonStep(R2)))
+    return std::nullopt;
+  if (R1 >= R2)
+    return std::nullopt;
+  size_t CoverBegin = KI.Regular[R1], CoverEnd = KI.Regular[R2 - 1];
+  if (CoverEnd - CoverBegin != R2 - 1 - R1)
+    return std::nullopt; // covered children must be consecutive
+  if (CoverBegin > Begin || CoverEnd < End)
     return std::nullopt;
 
   // The wrap's dynamic extent may exceed [Begin, End] (whole statements
   // only). That is harmless — a finish only adds joins — except that the
   // sinks of the edges this finish is meant to resolve must stay outside,
-  // or those races stay inside the finish and remain unresolved.
-  std::vector<const DpstNode *> ForbiddenNodes;
-  for (auto [X, Y] : G.Problem.Edges)
-    if (X >= I && X <= K && Y > K)
-      ForbiddenNodes.push_back(G.Nodes[Y]);
-  auto RangeContains = [&](size_t Lo, size_t Hi) {
-    for (size_t Idx = Lo; Idx <= Hi; ++Idx)
-      for (const DpstNode *F : ForbiddenNodes)
-        if (Tree.isAncestorOrSelf(Kids[Idx], F))
-          return true;
-    return false;
-  };
-  if (CoverBegin < Begin && RangeContains(CoverBegin, Begin - 1))
-    return std::nullopt;
-  if (CoverEnd > End && RangeContains(End + 1, CoverEnd))
-    return std::nullopt;
+  // or those races stay inside the finish and remain unresolved. Children
+  // left of Begin hold only graph nodes before I. Children right of End
+  // hold a prefix of the nodes after K, because findInsertionPoints keeps
+  // node K + 1 out of Kids[End]. So the smallest crossing sink is the only
+  // one to test.
+  uint32_t MinSink = Cross.minSink(I, K);
+  if (MinSink != CrossingTable::NoEdge && CoverEnd > End) {
+    const DpstNode *Sink = G.Nodes[MinSink];
+    auto It = std::upper_bound(
+        KI.Kids.begin(), KI.Kids.end(), Sink->pre(),
+        [](uint32_t Pre, const DpstNode *C) { return Pre < C->pre(); });
+    size_t At = static_cast<size_t>(It - KI.Kids.begin());
+    if (At > End + 1 && At - 1 <= CoverEnd &&
+        Tree.isAncestorOrSelf(KI.Kids[At - 1], Sink))
+      return std::nullopt;
+  }
 
   if (declEscapes(CB, IF, IL))
     return std::nullopt;
@@ -340,7 +391,8 @@ std::optional<StaticPlacer::Edit> StaticPlacer::deepWrapEdit(DpstNode *X) {
 }
 
 std::optional<StaticPlacer::Edit>
-StaticPlacer::mapRange(const DepGroup &G, uint32_t I, uint32_t K) {
+StaticPlacer::mapRange(const DepGroup &G, const CrossingTable &Cross,
+                       uint32_t I, uint32_t K) {
   RejectReason.clear();
   DpstNode *First = G.Nodes[I];
   DpstNode *Last = G.Nodes[K];
@@ -353,7 +405,7 @@ StaticPlacer::mapRange(const DepGroup &G, uint32_t I, uint32_t K) {
     const InsertionPoint &IP = *It;
     DpstNode *P = IP.Parent;
     if (P->isScope() && P->container()) {
-      if (auto E = mapBlockEdit(G, I, K, IP))
+      if (auto E = mapBlockEdit(G, Cross, I, K, IP))
         return E;
     } else if ((P->isAsync() || P->isFinish()) &&
                Tree.spansAllChildren(IP.First, IP.Last)) {
@@ -390,8 +442,9 @@ StaticPlacer::mapRange(const DepGroup &G, uint32_t I, uint32_t K) {
   return std::nullopt;
 }
 
-bool StaticPlacer::isValidRange(const DepGroup &G, uint32_t I, uint32_t K) {
-  return mapRange(G, I, K).has_value();
+bool StaticPlacer::isValidRange(const DepGroup &G, const CrossingTable &Cross,
+                                uint32_t I, uint32_t K) {
+  return mapRange(G, Cross, I, K).has_value();
 }
 
 //===----------------------------------------------------------------------===//
@@ -452,19 +505,20 @@ FinishStmt *StaticPlacer::applyEdit(const Edit &E) {
   return NF;
 }
 
-unsigned StaticPlacer::replicate(const Edit &E, FinishStmt *NewFinish) {
-  unsigned Count = 0;
+std::vector<DpstNode *> StaticPlacer::replicate(const Edit &E,
+                                                FinishStmt *NewFinish) {
+  std::vector<DpstNode *> &Inserted = StmtInstances[NewFinish];
 
   if (E.Block) {
     // The wrapped statements moved under NewFinish; recover them for the
     // coverage predicate.
     std::unordered_set<const Stmt *> OwnerSet;
-    addOwners(NewFinish, OwnerSet);
+    forEachOwner(NewFinish, [&](const Stmt *S) { OwnerSet.insert(S); });
     OwnerSet.erase(NewFinish); // owners predate the edit
 
     auto It = BlockInstances.find(E.Block);
     if (It == BlockInstances.end())
-      return 0;
+      return Inserted;
     for (DpstNode *Q : It->second) {
       const std::vector<DpstNode *> Kids = Tree.childList(Q);
       size_t Lo = Npos, Hi = Npos;
@@ -481,10 +535,9 @@ unsigned StaticPlacer::replicate(const Edit &E, FinishStmt *NewFinish) {
       if (Lo == Npos)
         continue;
       DpstNode *F = Tree.insertFinish(Kids[Lo], Kids[Hi], NewFinish);
-      StmtInstances[NewFinish].push_back(F);
-      ++Count;
+      Inserted.push_back(F);
     }
-    return Count;
+    return Inserted;
   }
 
   // Slot edits.
@@ -494,29 +547,27 @@ unsigned StaticPlacer::replicate(const Edit &E, FinishStmt *NewFinish) {
     // owner, the new finish adopts all children.
     auto It = StmtInstances.find(E.SlotOwner);
     if (It == StmtInstances.end())
-      return 0;
+      return Inserted;
     for (DpstNode *X : It->second) {
       std::vector<DpstNode *> Kids = Tree.childList(X);
       if (Kids.empty())
         continue;
       DpstNode *F = Tree.insertFinish(Kids.front(), Kids.back(), NewFinish);
-      StmtInstances[NewFinish].push_back(F);
-      ++Count;
+      Inserted.push_back(F);
     }
-    return Count;
+    return Inserted;
   }
 
   // Deep wrap of an async/finish statement in a structured body slot: wrap
   // each dynamic instance of the statement individually.
   auto It = StmtInstances.find(E.Wrapped);
   if (It == StmtInstances.end())
-    return 0;
+    return Inserted;
   for (DpstNode *X : It->second) {
     DpstNode *F = Tree.insertFinish(X, X, NewFinish);
-    StmtInstances[NewFinish].push_back(F);
-    ++Count;
+    Inserted.push_back(F);
   }
-  return Count;
+  return Inserted;
 }
 
 //===----------------------------------------------------------------------===//
@@ -594,6 +645,7 @@ std::optional<AppliedRepair> StaticPlacer::applyForce(const DepGroup &G,
   if (FE->Future->decl()->type())
     Call->setType(FE->Future->decl()->type()->elem());
   auto *ES = Ctx.createStmt<ExprStmt>(Call, Loc);
+  dropIndexes();
   FE->Block->stmts().insert(FE->Block->stmts().begin() +
                                 static_cast<ptrdiff_t>(FE->InsertIdx),
                             ES);
@@ -688,6 +740,7 @@ StaticPlacer::applyIsolated(const DepGroup &G, uint32_t X, uint32_t Y) {
   if (!IE)
     return std::nullopt;
 
+  dropIndexes();
   AppliedRepair R;
   R.Construct = RepairConstruct::Isolated;
   for (const IsolatedEdit::Site &Site : IE->Sites) {
@@ -723,8 +776,9 @@ uint64_t StaticPlacer::isolatedPenalty(const DepGroup &G, uint32_t X,
 }
 
 std::optional<AppliedFinish> StaticPlacer::apply(const DepGroup &G,
+                                                 const CrossingTable &Cross,
                                                  uint32_t I, uint32_t K) {
-  auto E = mapRange(G, I, K);
+  auto E = mapRange(G, Cross, I, K);
   if (!E)
     return std::nullopt;
 
@@ -734,11 +788,10 @@ std::optional<AppliedFinish> StaticPlacer::apply(const DepGroup &G,
   else
     Result.AnchorLoc = E->Wrapped->loc();
 
+  dropIndexes();
   FinishStmt *NF = applyEdit(*E);
   if (!NF)
     return std::nullopt;
-  Result.Stmt = NF;
-  Result.DynamicInstances = replicate(*E, NF);
-  Applied.push_back(Result);
+  Result.Instances = replicate(*E, NF);
   return Result;
 }

@@ -45,11 +45,15 @@
 
 namespace tdr {
 
-/// One applied finish repair, for reporting.
+namespace obs {
+class Counter;
+} // namespace obs
+
+/// One applied finish repair.
 struct AppliedFinish {
-  FinishStmt *Stmt = nullptr;   ///< the synthesized statement
-  SourceLoc AnchorLoc;          ///< location of the first wrapped statement
-  unsigned DynamicInstances = 0;///< S-DPST nodes inserted
+  SourceLoc AnchorLoc; ///< location of the first wrapped statement
+  /// The S-DPST finish nodes inserted, one per dynamic instance.
+  std::vector<DpstNode *> Instances;
 };
 
 /// One applied repair of any construct, for reporting. Finish repairs also
@@ -68,13 +72,17 @@ public:
   StaticPlacer(Dpst &Tree, AstContext &Ctx, Program &Prog);
 
   /// DP validity oracle: can a finish be placed around graph nodes [I, K]
-  /// of \p G and mapped back to the program?
-  bool isValidRange(const DepGroup &G, uint32_t I, uint32_t K);
+  /// of \p G and mapped back to the program? \p Cross is the crossing
+  /// table of G's edges. A call tests one sink and binary-searches an
+  /// index of the insertion parent's children, built once per edit.
+  bool isValidRange(const DepGroup &G, const CrossingTable &Cross,
+                    uint32_t I, uint32_t K);
 
   /// Applies the finish around [I, K]: edits the AST and replicates finish
   /// nodes across the S-DPST. Returns the applied record, or nullopt when
   /// mapping fails (callers fall back to re-detection).
-  std::optional<AppliedFinish> apply(const DepGroup &G, uint32_t I,
+  std::optional<AppliedFinish> apply(const DepGroup &G,
+                                     const CrossingTable &Cross, uint32_t I,
                                      uint32_t K);
 
   /// Can edge (X, Y) be cut by forcing a future earlier? Requires the
@@ -102,8 +110,6 @@ public:
   /// the shorter racing step may wait for the longer one, so the penalty
   /// is the sum of min(source weight, sink weight), at least 1 per race.
   uint64_t isolatedPenalty(const DepGroup &G, uint32_t X, uint32_t Y) const;
-
-  const std::vector<AppliedFinish> &applied() const { return Applied; }
 
   /// Why the most recent isValidRange/apply call rejected its range
   /// (empty after a successful mapping). Feeds placement provenance in
@@ -164,9 +170,11 @@ private:
                                                   const DpstNode *LeftN,
                                                   const DpstNode *RightN);
 
-  std::optional<Edit> mapRange(const DepGroup &G, uint32_t I, uint32_t K);
-  std::optional<Edit> mapBlockEdit(const DepGroup &G, uint32_t I, uint32_t K,
-                                   const InsertionPoint &IP);
+  std::optional<Edit> mapRange(const DepGroup &G, const CrossingTable &Cross,
+                               uint32_t I, uint32_t K);
+  std::optional<Edit> mapBlockEdit(const DepGroup &G,
+                                   const CrossingTable &Cross, uint32_t I,
+                                   uint32_t K, const InsertionPoint &IP);
   /// Fallback for single async/finish nodes: wrap their own statement.
   std::optional<Edit> deepWrapEdit(DpstNode *X);
 
@@ -174,12 +182,39 @@ private:
   /// earlier edits may have wrapped around it; npos when absent.
   size_t findStmtIndex(const BlockStmt *B, const Stmt *S) const;
 
+  /// The children of one insertion parent, by the statements of its
+  /// container that own them. A child is regular when both its owner and
+  /// its last owner are statements of the container (through synthesized
+  /// wrappers); the others are steps of nested statements. The container
+  /// runs its statements in order, so Lo and Hi of the regular children
+  /// are non-decreasing (Ordered), and a statement range maps to a run of
+  /// regular children by binary search.
+  struct KidIndex {
+    std::vector<const DpstNode *> Kids; ///< all children, left to right
+    std::vector<uint32_t> Regular;      ///< positions of regular children
+    std::vector<uint32_t> Lo, Hi;       ///< their owners' statement indices
+    bool Ordered = true;
+  };
+  static constexpr uint32_t NoStmt = UINT32_MAX;
+
+  /// Index of the top-level statement of \p B that \p S sits under
+  /// (through synthesized wrappers and blocks), or NoStmt. The
+  /// statement -> index map is built per block on first use.
+  uint32_t topIndex(const BlockStmt *B, const Stmt *S);
+  /// Index of the children of \p P (a scope with a container), built on
+  /// first use. Both indexes are valid until the next edit.
+  const KidIndex &kidIndex(const DpstNode *P);
+  /// Drops the indexes; every edit of the program or the tree calls it.
+  void dropIndexes();
+
   /// True when a local declared in B[First..Last] is referenced by
   /// statements after Last (wrapping would break scoping).
   bool declEscapes(const BlockStmt *B, size_t First, size_t Last) const;
 
   FinishStmt *applyEdit(const Edit &E);
-  unsigned replicate(const Edit &E, FinishStmt *NewFinish);
+  /// Inserts a finish node for \p NewFinish at every dynamic instance of
+  /// the edited site; returns the inserted nodes.
+  std::vector<DpstNode *> replicate(const Edit &E, FinishStmt *NewFinish);
 
   /// Rebuilds the statement parent-slot map and block instance map.
   void indexProgram();
@@ -188,6 +223,7 @@ private:
   Dpst &Tree;
   AstContext &Ctx;
   Program &Prog;
+  obs::Counter &OracleSteps; ///< repair.oracle_steps
 
   /// All scope instances per container block (for replication).
   std::unordered_map<const BlockStmt *, std::vector<DpstNode *>>
@@ -201,8 +237,12 @@ private:
     Edit::SlotKind Slot = Edit::SlotKind::None;
   };
   std::unordered_map<const Stmt *, ParentSlot> Parents;
+  /// Validity-oracle indexes (see kidIndex()).
+  std::unordered_map<const BlockStmt *,
+                     std::unordered_map<const Stmt *, uint32_t>>
+      StmtIndexes;
+  std::unordered_map<const DpstNode *, KidIndex> KidIndexes;
 
-  std::vector<AppliedFinish> Applied;
   std::string RejectReason; ///< see lastRejectReason()
   /// Statements already wrapped in a synthesized isolated section (an
   /// edge with several races over one statement wraps it once).

@@ -14,7 +14,9 @@
 
 #include "ast/AstPrinter.h"
 #include "ast/Transforms.h"
+#include "obs/Metrics.h"
 #include "race/Detect.h"
+#include "repair/DepGraph.h"
 #include "repair/RepairDriver.h"
 
 using namespace tdr;
@@ -319,6 +321,65 @@ func main() {
   Detection D = detectRaces(*P.Prog);
   EXPECT_TRUE(D.Report.Pairs.empty());
   EXPECT_EQ(D.Exec.Output, "144\n");
+}
+
+TEST(StaticPlacement, PlacementWorkIsNearLinearInRacesAndEdges) {
+  // Phases of asyncs, each updating one W-cell block of A: every async
+  // races with the same-block asyncs of all later phases, so each edge
+  // carries W races and the one NS-LCA group has many more races than
+  // edges. The DP puts one finish around each phase, and all of those
+  // ranges map to one static edit (the inner loop): once it is applied,
+  // the other ranges resolve no live race. The work after detection (the
+  // validity oracle's children and edges, the liveness scan's races) must
+  // then stay within c * (N^2 + races + edges) for the group's N vertices,
+  // with c = 4; re-scanning every race and edge per range does not.
+  const char *Src = R"(
+var A: int[];
+func main() {
+  var phases: int = arg(0);
+  var blocks: int = arg(1);
+  var w: int = arg(2);
+  A = new int[blocks * w];
+  for (var k: int = 0; k < phases; k = k + 1) {
+    for (var c: int = 0; c < blocks; c = c + 1) {
+      async {
+        for (var j: int = 0; j < w; j = j + 1) {
+          A[c * w + j] = A[c * w + j] + k;
+        }
+      }
+    }
+  }
+  print(A[0]);
+}
+)";
+  ParsedProgram P = parseAndCheck(Src);
+  ASSERT_TRUE(P.ok()) << P.errors();
+  ExecOptions Exec;
+  Exec.Args = {8, 4, 16};
+
+  Detection D = detectRaces(*P.Prog, EspBagsDetector::Mode::MRW, Exec);
+  ASSERT_TRUE(D.ok()) << D.Exec.Error;
+  std::vector<DepGroup> Groups = buildDepGroups(*D.Tree, D.Report.Pairs);
+  ASSERT_EQ(Groups.size(), 1u);
+  const uint64_t N = Groups.front().Nodes.size();
+  const uint64_t Races = Groups.front().Races.size();
+  const uint64_t Edges = Groups.front().Problem.Edges.size();
+  ASSERT_GE(Races, 8 * Edges) << "the group must carry many races per edge";
+
+  obs::MetricsRegistry Reg;
+  RepairResult R;
+  {
+    obs::ScopedMetrics Scope(Reg);
+    RepairOptions Opts;
+    Opts.Exec = Exec;
+    R = repairProgram(*P.Prog, *P.Ctx, Opts);
+  }
+  ASSERT_TRUE(R.Success) << R.Error;
+  EXPECT_EQ(R.Stats.FinishesInserted, 1u) << printProgram(*P.Prog);
+  const uint64_t Steps = Reg.counterValue("repair.oracle_steps");
+  EXPECT_GT(Steps, 0u);
+  EXPECT_LE(Steps, 4 * (N * N + Races + Edges))
+      << "N=" << N << " races=" << Races << " edges=" << Edges;
 }
 
 } // namespace

@@ -9,7 +9,8 @@ src/obs/Phases.def — the same registry the C++ hook points compile their
 phase constants from — so the vocabulary lives in exactly one place. Also runs `tdr batch --jobs 2 --trace` and
 checks the async ('b'/'e') per-job lane events: every begin has a matching
 end with the same (name, cat, id), timestamps are ordered, and the merged
-metrics carry a batch.job_ms histogram with percentile fields. Invoked
+metrics carry a batch.job_ms histogram with percentile fields and a
+non-zero repair.oracle_steps placement work counter. Invoked
 from CTest (see tools/CMakeLists.txt) but also usable standalone:
 
     python3 tools/check_trace.py build/tools/tdr
@@ -225,6 +226,10 @@ def main():
         if os.path.exists(bmetrics):
             with open(bmetrics) as f:
                 bdoc = json.load(f)
+            # The batch repairs, so the placement work counter (children
+            # and races the validity oracle and liveness scan visit) is set.
+            check(bdoc.get("repair.oracle_steps", 0) > 0,
+                  "batch metrics missing a non-zero 'repair.oracle_steps'")
             hist = bdoc.get("batch.job_ms")
             if check(isinstance(hist, dict),
                      "batch metrics missing batch.job_ms histogram"):
