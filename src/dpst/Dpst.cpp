@@ -57,8 +57,8 @@ Dpst::Dpst()
 DpstNode *Dpst::allocNode() {
   uint32_t Id = NextId++;
   if ((Id & (ChunkSize - 1)) == 0)
-    Chunks.emplace_back(new DpstNode[ChunkSize]);
-  DpstNode *N = node(Id);
+    Chunks.emplace_back().Nodes = std::make_unique<DpstNode[]>(ChunkSize);
+  DpstNode *N = &Chunks.back().Nodes[Id & (ChunkSize - 1)];
   N->Id = Id;
   return N;
 }
@@ -93,15 +93,89 @@ uint32_t Dpst::internForced(std::vector<uint32_t> S) {
   return I;
 }
 
+void Dpst::fold(DpstNode *L, uint32_t StepsForced) {
+  uint32_t Begin = L->Id + 1, End = L->End;
+  assert(L->isTaskNode() && End == NumBuilt &&
+         "only the task subtree closed last folds");
+  assert(NumBuilt == NextId && "nodes fold before finishes are inserted");
+  uint64_t FirstWhole = (uint64_t(Begin) + ChunkSize - 1) >> ChunkBits;
+  if ((FirstWhole + 1) << ChunkBits > End)
+    return;
+  uint32_t Last = 0; // code of the previous step: runs of one site are common
+  for (uint32_t Pos = Begin; Pos < End; ++Pos) {
+    Chunk &C = Chunks[Pos >> ChunkBits];
+    if (!C.Codes)
+      C.Codes = std::make_unique<uint32_t[]>(ChunkSize);
+    const DpstNode &N = C.Nodes[Pos & (ChunkSize - 1)];
+    assert((N.isStep() || N.isScope()) && "folded subtrees hold steps and "
+                                          "scopes only");
+    if (!N.isStep()) {
+      C.Codes[Pos & (ChunkSize - 1)] = FoldedScope;
+      continue;
+    }
+    assert(N.Aux == StepsForced && "folded steps share the task's forced set");
+    StepSite S{N.Owner, N.Slot.LastOwner, N.Word.Weight};
+    if (!Last || !(StepSites[Last - 1] == S)) {
+      auto [It, Inserted] = SiteIndex.try_emplace(
+          S, static_cast<uint32_t>(StepSites.size() + 1));
+      if (Inserted)
+        StepSites.push_back(S);
+      Last = It->second;
+    }
+    C.Codes[Pos & (ChunkSize - 1)] = Last;
+  }
+  // Free the chunks that hold folded ids only.
+  for (uint64_t K = FirstWhole; (K + 1) << ChunkBits <= End; ++K)
+    Chunks[K].Nodes.reset();
+  assert((!L->isFuture() || L->Aux == StepsForced) &&
+         "a spawn-free future's exit set is its steps' set");
+  L->Flags |= DpstNode::CollapsedFlag;
+  L->Aux = StepsForced;
+  NumFolded += End - Begin;
+  CollapsedIds.push_back(L->Id);
+}
+
+DpstNode *Dpst::pinned(uint32_t Id) const {
+  auto [It, Inserted] = Pinned.try_emplace(Id);
+  DpstNode &N = It->second;
+  if (!Inserted)
+    return &N;
+  uint32_t Code = Chunks[Id >> ChunkBits].Codes[Id & (ChunkSize - 1)];
+  assert(Code != FoldedScope && "only folded steps are pinned");
+  const StepSite &S = StepSites[Code - 1];
+  DpstNode *Leaf =
+      node(*(std::upper_bound(CollapsedIds.begin(), CollapsedIds.end(), Id) -
+             1));
+  N.Id = Id;
+  N.End = Id + 1;
+  N.Aux = Leaf->Aux;
+  N.Kind = DpstKind::Step;
+  N.Parent = Leaf;
+  N.Owner = S.Owner;
+  N.Slot.LastOwner = S.LastOwner;
+  N.Word.Weight = S.Weight;
+  return &N;
+}
+
 size_t Dpst::bytesUsed() const {
-  size_t Bytes = Chunks.size() * ChunkSize * sizeof(DpstNode) +
-                 Chunks.capacity() * sizeof(Chunks[0]) +
+  size_t Bytes = Chunks.capacity() * sizeof(Chunk) +
                  ForcedSets.capacity() * sizeof(ForcedSets[0]);
+  for (const Chunk &C : Chunks)
+    Bytes += (C.Nodes ? ChunkSize * sizeof(DpstNode) : 0) +
+             (C.Codes ? ChunkSize * sizeof(uint32_t) : 0);
   for (const std::vector<uint32_t> &S : ForcedSets)
     Bytes += S.capacity() * sizeof(uint32_t);
   // Hash nodes: key, value and the next pointer; plus the bucket array.
   Bytes += ForcedIndex.size() * (sizeof(void *) + 2 * sizeof(uint64_t)) +
            ForcedIndex.bucket_count() * sizeof(void *);
+  Bytes += CollapsedIds.capacity() * sizeof(uint32_t) +
+           StepSites.capacity() * sizeof(StepSite) +
+           SiteIndex.size() * (sizeof(void *) + sizeof(StepSite) +
+                               sizeof(uint64_t)) +
+           SiteIndex.bucket_count() * sizeof(void *) +
+           Pinned.size() * (sizeof(void *) + sizeof(uint64_t) +
+                            sizeof(DpstNode)) +
+           Pinned.bucket_count() * sizeof(void *);
   return Bytes;
 }
 
@@ -230,6 +304,7 @@ DpstNode *Dpst::insertFinish(DpstNode *First, DpstNode *Last,
   DpstNode *Parent = First->Parent;
   assert(Parent && Last->Parent == Parent && First->pre() <= Last->pre() &&
          "finish insertion needs a sibling range");
+  assert(!NumFolded && "finish insertion needs the full tree");
 
   CInserts->inc();
   DpstNode *F = allocNode();
@@ -254,10 +329,16 @@ DpstNode *Dpst::insertFinish(DpstNode *First, DpstNode *Last,
 
 uint64_t Dpst::subtreeWork(const DpstNode *N) const {
   // Every built node inside the interval is a descendant (inserted
-  // finishes carry no weight).
+  // finishes carry no weight); a folded step's weight is in its site.
   uint64_t Total = 0;
-  for (uint32_t Pos = N->pre(), Limit = limitOf(N); Pos < Limit; ++Pos)
-    Total += node(Pos)->weight();
+  for (uint32_t Pos = N->pre(), Limit = std::min(N->End, NumBuilt);
+       Pos < Limit; ++Pos) {
+    const Chunk &C = Chunks[Pos >> ChunkBits];
+    uint32_t Code = C.Codes ? C.Codes[Pos & (ChunkSize - 1)] : 0;
+    Total += !Code                 ? C.Nodes[Pos & (ChunkSize - 1)].weight()
+             : Code == FoldedScope ? 0
+                                   : StepSites[Code - 1].Weight;
+  }
   return Total;
 }
 
@@ -281,10 +362,17 @@ public:
   Result walk(const DpstNode *N, uint64_t Start) {
     uint64_t Cur = Start;
     uint64_t Pending = Start;
+    if (N->isCollapsed()) {
+      // A collapsed leaf is the chain of its folded steps.
+      uint64_t Ready = forcedDone(Tree.forced(N));
+      Tree.forEachFoldedStep(
+          N, [&](uint64_t W) { Cur = std::max(Cur, Ready) + W; });
+      return {Cur, Pending};
+    }
     for (const DpstNode *C : Tree.children(N)) {
       switch (C->kind()) {
       case DpstKind::Step:
-        Cur = std::max(Cur, forcedDone(C)) + C->weight();
+        Cur = std::max(Cur, forcedDone(Tree.forced(C))) + C->weight();
         break;
       case DpstKind::Scope: {
         Result R = walk(C, Cur);
@@ -322,11 +410,10 @@ public:
   }
 
 private:
-  /// Latest completion of the futures \p Step's forced set names. Every
-  /// such future precedes the step in preorder, so its time is known; the
-  /// result is memoized per interned set.
-  uint64_t forcedDone(const DpstNode *Step) {
-    const std::vector<uint32_t> *F = Tree.forced(Step);
+  /// Latest completion of the futures a step's forced set \p F names.
+  /// Every such future precedes the step in preorder, so its time is
+  /// known; the result is memoized per interned set.
+  uint64_t forcedDone(const std::vector<uint32_t> *F) {
     if (!F)
       return 0;
     auto [It, Inserted] = SetDone.try_emplace(F, 0);
@@ -352,7 +439,10 @@ uint64_t Dpst::subtreeCpl(const DpstNode *N) const {
 std::string Dpst::dumpDot() const {
   std::string Out = "digraph sdpst {\n  node [shape=box];\n";
   for (uint32_t Id = 0; Id != NextId; ++Id) {
-    const DpstNode &N = *node(Id);
+    const Chunk &C = Chunks[Id >> ChunkBits];
+    if (C.Codes && C.Codes[Id & (ChunkSize - 1)])
+      continue; // folded into a collapsed leaf
+    const DpstNode &N = C.Nodes[Id & (ChunkSize - 1)];
     Out += strFormat("  n%u [label=\"%s\"];\n", N.id(), N.label().c_str());
     if (N.parent())
       Out += strFormat("  n%u -> n%u;\n", N.parent()->id(), N.id());
@@ -365,8 +455,10 @@ std::string Dpst::dumpDot() const {
 // DpstBuilder
 //===----------------------------------------------------------------------===//
 
-DpstBuilder::DpstBuilder(Dpst &D) : D(D), Cur(D.root()) {
+DpstBuilder::DpstBuilder(Dpst &D, DpstShape Shape)
+    : D(D), Shape(Shape), Cur(D.root()) {
   TaskStack.push_back(D.root());
+  Foldable.push_back(false); // the root is not a task node
   // Root slot: exit sets of root-level tasks land here (nothing ever
   // reads it — no code runs after the program's implicit join).
   FinishAccum.push_back(0);
@@ -399,8 +491,19 @@ uint32_t DpstBuilder::unionForcedWith(uint32_t A, uint32_t Fid) {
   return D.internForced(std::move(Merged));
 }
 
+void DpstBuilder::closeTask() {
+  DpstNode *N = Cur;
+  closeCur();
+  bool Fold = Foldable.back();
+  Foldable.pop_back();
+  // CurForced is still the task's own set: every step in it carries it.
+  if (Shape == DpstShape::Compact && Fold)
+    D.fold(N, CurForced);
+}
+
 void DpstBuilder::onAsyncEnter(const AsyncStmt *S, const Stmt *Owner) {
   closeStep();
+  keepTask();
   DpstNode *N = D.createNode(DpstKind::Async, Cur);
   N->Owner = Owner;
   N->Slot.Async = S;
@@ -410,6 +513,7 @@ void DpstBuilder::onAsyncEnter(const AsyncStmt *S, const Stmt *Owner) {
       N->Word.Body = B; // informational; the body block still gets a scope
   Cur = N;
   TaskStack.push_back(N);
+  Foldable.push_back(true);
   // The child context inherits the spawner's completed-future knowledge;
   // the snapshot to restore at exit is the same set (spawning changes
   // nothing for the parent).
@@ -419,7 +523,7 @@ void DpstBuilder::onAsyncEnter(const AsyncStmt *S, const Stmt *Owner) {
 void DpstBuilder::onAsyncExit(const AsyncStmt *) {
   closeStep();
   TaskStack.pop_back();
-  closeCur();
+  closeTask();
   // The task's final knowledge becomes visible after its join point — the
   // immediately enclosing finish (or future's implicit finish).
   FinishAccum.back() = unionForced(FinishAccum.back(), CurForced);
@@ -429,6 +533,7 @@ void DpstBuilder::onAsyncExit(const AsyncStmt *) {
 
 void DpstBuilder::onFinishEnter(const FinishStmt *S, const Stmt *Owner) {
   closeStep();
+  keepTask();
   DpstNode *N = D.createNode(DpstKind::Finish, Cur);
   N->Owner = Owner;
   N->Slot.Finish = S;
@@ -451,6 +556,7 @@ void DpstBuilder::onFinishExit(const FinishStmt *) {
 void DpstBuilder::onFutureEnter(const FutureStmt *S, const Stmt *Owner,
                                 uint32_t Fid) {
   closeStep();
+  keepTask();
   DpstNode *N = D.createNode(DpstKind::Future, Cur);
   N->Owner = Owner;
   N->Slot.Future = S;
@@ -461,6 +567,7 @@ void DpstBuilder::onFutureEnter(const FutureStmt *S, const Stmt *Owner,
   FutureById[Fid] = N;
   Cur = N;
   TaskStack.push_back(N);
+  Foldable.push_back(true);
   SavedForced.push_back(CurForced);
   FinishAccum.push_back(0); // the future's implicit finish
 }
@@ -474,7 +581,7 @@ void DpstBuilder::onFutureExit(const FutureStmt *) {
   uint32_t ExitSet = unionForced(CurForced, FinishAccum.back());
   FinishAccum.pop_back();
   Cur->Aux = ExitSet;
-  closeCur();
+  closeTask();
   // Like an async, the future also joins at its enclosing finish.
   FinishAccum.back() = unionForced(FinishAccum.back(), ExitSet);
   CurForced = SavedForced.back();
@@ -485,11 +592,13 @@ void DpstBuilder::onForce(uint32_t Fid) {
   // Accesses after the force are ordered after everything the future did;
   // close the step so they land in a fresh step carrying the new set.
   closeStep();
+  keepTask();
   CurForced = unionForcedWith(CurForced, Fid);
 }
 
 void DpstBuilder::onIsolatedEnter(const IsolatedStmt *, const Stmt *Owner) {
   closeStep();
+  keepTask();
   PendingOwner = Owner;
   InIsolated = true;
 }

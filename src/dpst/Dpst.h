@@ -21,6 +21,16 @@
 /// containment and order are integer compares; the rare per-node data
 /// (forced-future sets) lives in an interned side table.
 ///
+/// Two shapes (DpstShape). The full tree materializes every node. The
+/// compact tree, built for detection, folds the subtree of every async or
+/// future that spawned nothing and spans a whole chunk into the task node
+/// itself (a *collapsed leaf*, see DpstBuilder): ids and intervals stay
+/// the same, the folded ids keep only a 4-byte index into an interned
+/// table of step sites, and their chunks are freed. Theorem 1 reads only
+/// the non-scope child of an NS-LCA, which for a folded step is the leaf
+/// or one of its ancestors, so every parallelism, NS-LCA and witness
+/// answer is the full tree's.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TDR_DPST_DPST_H
@@ -50,6 +60,10 @@ class Counter;
 /// their numeric values (recorded traces and dumps stay comparable).
 enum class DpstKind : uint8_t { Root, Async, Finish, Scope, Step, Future };
 
+/// Which S-DPST a DpstBuilder builds (see the file comment): every node,
+/// or spawn-free task subtrees folded into collapsed leaves.
+enum class DpstShape : uint8_t { Full, Compact };
+
 /// One S-DPST node: 48 bytes, owning nothing (the tree's arena holds it).
 ///
 /// The tree is built depth first, so creation ids are preorder and every
@@ -77,6 +91,9 @@ public:
   bool isNonScope() const { return Kind != DpstKind::Scope; }
   /// A finish inserted by Dpst::insertFinish rather than executed.
   bool isInserted() const { return Flags & InsertedFlag; }
+  /// An async or future whose spawn-free subtree is folded into it (compact
+  /// shape only): it keeps its interval, but lists no children.
+  bool isCollapsed() const { return Flags & CollapsedFlag; }
 
   DpstNode *parent() const { return Parent; }
   /// Number of proper ancestors (a walk to the root).
@@ -137,6 +154,7 @@ private:
 
   static constexpr uint8_t IsolatedFlag = 1;
   static constexpr uint8_t InsertedFlag = 2;
+  static constexpr uint8_t CollapsedFlag = 4;
   /// End of a subtree that is still being built, so that containment
   /// holds for queries made during detection.
   static constexpr uint32_t OpenEnd = UINT32_MAX;
@@ -145,8 +163,8 @@ private:
   /// One past the subtree's interval: OpenEnd until the node's exit
   /// event, pre() + 1 for steps.
   uint32_t End = OpenEnd;
-  /// Steps and futures: index of the forced set (Dpst::forced), 0 for
-  /// none. Inserted finishes: pre().
+  /// Steps, futures and collapsed leaves: index of the forced set
+  /// (Dpst::forced), 0 for none. Inserted finishes: pre().
   uint32_t Aux = 0;
   DpstKind Kind = DpstKind::Step;
   uint8_t SKind = 0;
@@ -227,9 +245,21 @@ public:
   DpstNode *root() { return Root; }
   const DpstNode *root() const { return Root; }
   size_t numNodes() const { return NextId; }
-  /// The node with id \p Id (< numNodes()).
+  /// Materialized nodes: numNodes() less the ids folded into collapsed
+  /// leaves.
+  size_t numKept() const { return NextId - NumFolded; }
+  /// Number of collapsed leaves.
+  size_t numCollapsed() const { return CollapsedIds.size(); }
+  /// The node with id \p Id (< numNodes()). For a step folded into a
+  /// collapsed leaf: a memoized *pinned* step with the same id, owners,
+  /// weight and forced set, whose parent is the leaf (which does not list
+  /// it among its children). A folded scope has no node. Pinning is not
+  /// thread safe.
   DpstNode *node(uint32_t Id) const {
-    return &Chunks[Id >> ChunkBits][Id & (ChunkSize - 1)];
+    const Chunk &C = Chunks[Id >> ChunkBits];
+    if (!C.Codes || !C.Codes[Id & (ChunkSize - 1)])
+      return &C.Nodes[Id & (ChunkSize - 1)];
+    return pinned(Id);
   }
 
   /// The children of \p N in left-to-right order.
@@ -249,15 +279,30 @@ public:
   /// transitively through another force). Null means none. For Future
   /// nodes: the same set as of the future's own exit, used for transitive
   /// propagation. Sets are interned per tree.
+  /// For a collapsed leaf: the set of every step folded into it.
   const std::vector<uint32_t> *forced(const DpstNode *N) const {
-    uint32_t I = (N->isStep() || N->isFuture()) ? N->Aux : 0;
+    uint32_t I =
+        (N->isStep() || N->isFuture() || N->isCollapsed()) ? N->Aux : 0;
     return I ? &ForcedSets[I] : nullptr;
+  }
+
+  /// Calls \p F with the weight of every step folded into the collapsed
+  /// leaf \p L, in execution order: the leaf's body is one sequential
+  /// chain of these steps, all carrying forced(L).
+  template <typename Fn> void forEachFoldedStep(const DpstNode *L, Fn F) const {
+    for (uint32_t Pos = L->Id + 1; Pos < L->End; ++Pos) {
+      uint32_t Code = Chunks[Pos >> ChunkBits].Codes[Pos & (ChunkSize - 1)];
+      if (Code != FoldedScope)
+        F(StepSites[Code - 1].Weight);
+    }
   }
 
   /// True when the execution ran an isolated step or a future.
   bool hasIsolatedOrFuture() const { return HasIsolatedOrFuture; }
 
-  /// Bytes held by the tree: node chunks plus the side tables.
+  /// Bytes held by the tree: node chunks plus the side tables (forced
+  /// sets, the folded ids' site indices, the interned sites and the pinned
+  /// steps).
   size_t bytesUsed() const;
 
   /// Least common ancestor.
@@ -322,7 +367,8 @@ public:
   std::vector<DpstNode *> nonScopeChildren(const DpstNode *N) const;
 
   /// Inserts a new finish node adopting the siblings \p First..\p Last
-  /// (inclusive, left to right) in their place under their parent.
+  /// (inclusive, left to right) in their place under their parent. Full
+  /// shape only: placement edits the steps and scopes a fold drops.
   /// \p Site is the synthesized finish statement this dynamic node
   /// corresponds to. The node takes the next id; no other id changes.
   /// Returns the new node.
@@ -339,7 +385,8 @@ public:
   /// buildCompGraph; futures outside the subtree count as already done.
   uint64_t subtreeCpl(const DpstNode *N) const;
 
-  /// Graphviz dump (small trees; tests and debugging).
+  /// Graphviz dump of the materialized nodes (small trees; tests and
+  /// debugging).
   std::string dumpDot() const;
 
 private:
@@ -347,6 +394,37 @@ private:
 
   static constexpr unsigned ChunkBits = 8;
   static constexpr uint32_t ChunkSize = 1u << ChunkBits;
+  /// Site code of a folded id that was not a step (a scope); step codes
+  /// are 1 + an index into StepSites, and 0 marks a materialized id.
+  static constexpr uint32_t FoldedScope = UINT32_MAX;
+
+  /// ChunkSize consecutive ids. Nodes is null once every id in it is
+  /// folded; Codes exists once any id in it is, holding each id's site
+  /// code.
+  struct Chunk {
+    std::unique_ptr<DpstNode[]> Nodes;
+    std::unique_ptr<uint32_t[]> Codes;
+  };
+
+  /// What a folded step keeps.
+  struct StepSite {
+    const Stmt *Owner;
+    const Stmt *LastOwner;
+    uint64_t Weight;
+    bool operator==(const StepSite &O) const {
+      return Owner == O.Owner && LastOwner == O.LastOwner &&
+             Weight == O.Weight;
+    }
+  };
+  struct StepSiteHash {
+    size_t operator()(const StepSite &S) const {
+      uint64_t H =
+          reinterpret_cast<uintptr_t>(S.Owner) * 0x9E3779B97F4A7C15ull;
+      H ^= reinterpret_cast<uintptr_t>(S.LastOwner) + (H << 6) + (H >> 2);
+      H ^= S.Weight * 0xbf58476d1ce4e5b9ull + (H << 6) + (H >> 2);
+      return static_cast<size_t>(H);
+    }
+  };
 
   /// Appends a node with the next id to the arena.
   DpstNode *allocNode();
@@ -366,12 +444,23 @@ private:
   static uint32_t firstChildPos(const DpstNode *N) {
     return N->isInserted() ? N->pre() : N->id() + 1;
   }
-  /// One past the last preorder position inside \p N's interval.
+  /// One past the last preorder position of \p N's children (none for a
+  /// collapsed leaf).
   uint32_t limitOf(const DpstNode *N) const {
+    if (N->isCollapsed())
+      return firstChildPos(N);
     return N->End < NumBuilt ? N->End : NumBuilt;
   }
   /// The interned index of the sorted set \p S (0 for the empty set).
   uint32_t internForced(std::vector<uint32_t> S);
+  /// Folds the closed subtree of the task node \p L into it: records each
+  /// inner id's site code, frees the chunks wholly inside the interval and
+  /// marks \p L collapsed. \p StepsForced is the forced set of every
+  /// inner step. A subtree that holds no whole chunk stays materialized:
+  /// folding it would free nothing and add a codes array.
+  void fold(DpstNode *L, uint32_t StepsForced);
+  /// The pinned step for the folded id \p Id (see node()).
+  DpstNode *pinned(uint32_t Id) const;
 
   // Per-event instruments, bound at construction so node creation and the
   // MHP query touch one relaxed atomic each (see obs/Metrics.h).
@@ -379,9 +468,19 @@ private:
   obs::Counter *CQueries;
   obs::Counter *CInserts;
   /// Node arena: fixed chunks of ChunkSize nodes, indexed by id.
-  std::vector<std::unique_ptr<DpstNode[]>> Chunks;
+  std::vector<Chunk> Chunks;
   DpstNode *Root = nullptr;
   uint32_t NextId = 0;
+  /// Ids folded into collapsed leaves.
+  uint32_t NumFolded = 0;
+  /// Collapsed leaves by id; their intervals are disjoint, so the order
+  /// is also preorder.
+  std::vector<uint32_t> CollapsedIds;
+  /// Interned step sites of the folded steps.
+  std::vector<StepSite> StepSites;
+  std::unordered_map<StepSite, uint32_t, StepSiteHash> SiteIndex;
+  /// Pinned steps by id; node-based, so the pointers stay valid.
+  mutable std::unordered_map<uint32_t, DpstNode> Pinned;
   /// Nodes created by the builder; their ids are preorder positions.
   /// Inserted finishes come after them.
   uint32_t NumBuilt = 0;
@@ -392,9 +491,16 @@ private:
 };
 
 /// Builds an S-DPST from interpreter events.
+///
+/// In the compact shape, an async or future whose subtree ran no async,
+/// future, finish, force or isolated step, and is large enough to free a
+/// chunk, is folded into a collapsed leaf at its exit (Dpst::fold). Such
+/// a subtree is one sequential chain of steps that all carry the task's
+/// entry forced set; the finish exclusion keeps the task spine of every
+/// folded step (its non-scope ancestors) the same as on the full tree.
 class DpstBuilder : public ExecMonitor {
 public:
-  explicit DpstBuilder(Dpst &D);
+  explicit DpstBuilder(Dpst &D, DpstShape Shape = DpstShape::Full);
 
   void onAsyncEnter(const AsyncStmt *S, const Stmt *Owner) override;
   void onAsyncExit(const AsyncStmt *S) override;
@@ -427,6 +533,10 @@ public:
 
 private:
   void closeStep() { CurStep = nullptr; }
+  /// The current task's subtree stays materialized.
+  void keepTask() { Foldable.back() = false; }
+  /// Closes the current task node, folding it when the shape allows.
+  void closeTask();
   /// Closes the subtree of the current node and moves up to its parent.
   void closeCur() {
     Cur->End = D.NextId;
@@ -438,10 +548,13 @@ private:
   uint32_t unionForcedWith(uint32_t A, uint32_t Fid);
 
   Dpst &D;
+  const DpstShape Shape;
   DpstNode *Cur;
   DpstNode *CurStep = nullptr;
   const Stmt *PendingOwner = nullptr;
   std::vector<DpstNode *> TaskStack;
+  /// Per TaskStack entry: nothing so far rules out folding its subtree.
+  std::vector<bool> Foldable;
 
   // Force-ordering bookkeeping (see Dpst::forced), as interned set
   // indices. CurForced is the set of completed futures known to the

@@ -126,6 +126,7 @@ ExecResult Interpreter::run() {
   R.TotalWork = Work;
   obs::counter("interp.work").inc(Work);
   obs::gauge("interp.last_work").set(static_cast<int64_t>(Work));
+  obs::gauge("interp.heap_bytes").set(static_cast<int64_t>(HeapBytes));
   return R;
 }
 
@@ -645,6 +646,7 @@ bool Interpreter::allocArray(const Type *ElemTy,
   size_t N = static_cast<size_t>(Dims[Level]);
   if (!addWork(N / 8 + 1, Loc))
     return false;
+  HeapBytes += sizeof(ArrayObj) + N * sizeof(Value);
   Value Fill;
   if (Level + 1 == Dims.size()) {
     Fill = defaultValue(ElemTy);

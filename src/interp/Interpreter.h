@@ -125,6 +125,9 @@ private:
 
   std::vector<Value> Globals;
   std::deque<ArrayObj> Heap;
+  /// Bytes held by Heap's arrays (objects plus elements); arrays are never
+  /// freed, so this is also the run's peak.
+  size_t HeapBytes = 0;
   uint32_t NextArrayId = 1;
 
   std::vector<Frame> Stack;

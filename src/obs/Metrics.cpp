@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -304,6 +305,15 @@ std::string MetricsRegistry::dumpJson() const {
   }
   Out += "\n}\n";
   return Out;
+}
+
+int64_t obs::peakRssBytes() {
+  std::ifstream In("/proc/self/status");
+  std::string Line;
+  while (std::getline(In, Line))
+    if (Line.rfind("VmHWM:", 0) == 0)
+      return std::strtoll(Line.c_str() + 6, nullptr, 10) * 1024; // kB
+  return 0;
 }
 
 bool MetricsRegistry::writeJson(const std::string &Path) const {

@@ -192,6 +192,10 @@ private:
   MetricsRegistry *Prev;
 };
 
+/// The process's peak resident set size in bytes (VmHWM in
+/// /proc/self/status), or 0 where that file is unreadable.
+int64_t peakRssBytes();
+
 /// Shorthands against the current registry, for hook sites.
 inline Counter &counter(std::string_view Name) {
   return MetricsRegistry::current().counter(Name);

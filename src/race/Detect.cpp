@@ -29,6 +29,9 @@ namespace {
 /// from (see RepairStats).
 void publishDetection(const Detection &D) {
   obs::gauge("detect.dpst_nodes").set(static_cast<int64_t>(D.Tree->numNodes()));
+  obs::gauge("dpst.nodes_kept").set(static_cast<int64_t>(D.Tree->numKept()));
+  obs::gauge("dpst.tasks_collapsed")
+      .set(static_cast<int64_t>(D.Tree->numCollapsed()));
   obs::gauge("detect.races_raw").set(static_cast<int64_t>(D.Report.RawCount));
   obs::gauge("detect.race_pairs")
       .set(static_cast<int64_t>(D.Report.Pairs.size()));
@@ -45,10 +48,11 @@ void publishDetection(const Detection &D) {
 /// share the fused single-monitor dispatch, so the choice is this one
 /// template parameter.
 template <typename DetectorT, typename... ArgsT>
-Detection liveDetect(const Program &P, ExecOptions Exec, ArgsT... Args) {
+Detection liveDetect(const Program &P, ExecOptions Exec, DpstShape Shape,
+                     ArgsT... Args) {
   Detection D;
   D.Tree = std::make_unique<Dpst>();
-  DpstBuilder Builder(*D.Tree);
+  DpstBuilder Builder(*D.Tree, Shape);
   DetectorT Detector(Args..., Builder);
   FusedDetectMonitor<DetectorT> Fused(Builder, Detector);
   MonitorPipeline Pipeline;
@@ -72,10 +76,11 @@ Detection liveDetect(const Program &P, ExecOptions Exec, ArgsT... Args) {
 
 /// One log-backed detection with detector \p DetectorT.
 template <typename DetectorT, typename... ArgsT>
-Detection replayDetect(const trace::InputTrace &T, ArgsT... Args) {
+Detection replayDetect(const trace::InputTrace &T, DpstShape Shape,
+                       ArgsT... Args) {
   Detection D;
   D.Tree = std::make_unique<Dpst>();
-  DpstBuilder Builder(*D.Tree);
+  DpstBuilder Builder(*D.Tree, Shape);
   DetectorT Detector(Args..., Builder);
   FusedDetectMonitor<DetectorT> Fused(Builder, Detector);
   Timer ReplayTimer;
@@ -104,7 +109,7 @@ void crossCheckOracle(Detection &D, EspBagsDetector::Mode Mode,
   {
     obs::MetricsRegistry Scratch;
     obs::ScopedMetrics Scoped(Scratch);
-    Detection O = replayDetect<OracleDetector>(T);
+    Detection O = replayDetect<OracleDetector>(T, DpstShape::Full);
     Agree = Mode == EspBagsDetector::Mode::MRW
                 ? renderRaceReportKey(O.Report) ==
                       renderRaceReportKey(D.Report)
@@ -126,7 +131,8 @@ Detection tdr::detectRaces(const Program &P, const DetectOptions &Opts,
   obs::ScopedSpan Span(obs::phase::Detect);
   obs::counter("detect.runs").inc();
   if (!backendCheckEnv()) {
-    Detection D = liveDetect<EspBagsDetector>(P, std::move(Exec), Opts.Mode);
+    Detection D = liveDetect<EspBagsDetector>(P, std::move(Exec),
+                                              Opts.Shape, Opts.Mode);
     publishDetection(D);
     return D;
   }
@@ -142,7 +148,8 @@ Detection tdr::detectRaces(const Program &P, const DetectOptions &Opts,
   } else {
     Exec.Monitor = &Recorder;
   }
-  Detection D = liveDetect<EspBagsDetector>(P, std::move(Exec), Opts.Mode);
+  Detection D = liveDetect<EspBagsDetector>(P, std::move(Exec), Opts.Shape,
+                                            Opts.Mode);
   Recorder.flush();
   T.Exec = D.Exec;
   if (D.Exec.Ok)
@@ -162,7 +169,7 @@ Detection tdr::detectRaces(const Program &, const DetectOptions &Opts,
   obs::ScopedSpan Span(obs::phase::DetectReplay);
   obs::counter("detect.runs").inc();
   obs::counter("detect.replays").inc();
-  Detection D = replayDetect<EspBagsDetector>(T, Opts.Mode);
+  Detection D = replayDetect<EspBagsDetector>(T, Opts.Shape, Opts.Mode);
   if (D.Exec.Ok && backendCheckEnv())
     crossCheckOracle(D, Opts.Mode, T);
   publishDetection(D);
@@ -179,14 +186,14 @@ Detection tdr::detectRacesOracle(const Program &, const trace::InputTrace &T,
                                  const trace::ReplayPlan &) {
   obs::ScopedSpan Span(obs::phase::DetectOracleReplay);
   obs::counter("detect.replays").inc();
-  Detection D = replayDetect<OracleDetector>(T);
+  Detection D = replayDetect<OracleDetector>(T, DpstShape::Full);
   publishDetection(D);
   return D;
 }
 
 Detection tdr::detectRacesOracle(const Program &P, ExecOptions Exec) {
   obs::ScopedSpan Span(obs::phase::DetectOracle);
-  Detection D = liveDetect<OracleDetector>(P, std::move(Exec));
+  Detection D = liveDetect<OracleDetector>(P, std::move(Exec), DpstShape::Full);
   publishDetection(D);
   return D;
 }

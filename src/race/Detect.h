@@ -127,6 +127,11 @@ bool backendCheckEnv();
 /// (SRW/MRW, paper §4.1).
 struct DetectOptions {
   EspBagsDetector::Mode Mode = EspBagsDetector::Mode::MRW;
+  /// The S-DPST to build (see Dpst.h). The race report, node count and
+  /// T1/Tinf/TP are the same either way; the callers that edit or print
+  /// the scopes and steps inside spawn-free tasks (repair placement,
+  /// `tdr dot`) ask for the full tree.
+  DpstShape Shape = DpstShape::Compact;
 };
 
 /// Everything one detection run produces.
@@ -153,8 +158,8 @@ Detection detectRaces(const Program &P,
                       EspBagsDetector::Mode Mode = EspBagsDetector::Mode::MRW,
                       ExecOptions Exec = ExecOptions());
 
-/// Like detectRaces but using the Theorem-1 oracle detector (slow;
-/// validation only).
+/// Like detectRaces but using the Theorem-1 oracle detector on the full
+/// S-DPST (slow; validation only).
 Detection detectRacesOracle(const Program &P, ExecOptions Exec = ExecOptions());
 
 /// Log-backed detection: instead of interpreting, re-feeds the event

@@ -142,9 +142,10 @@ void EspBagsDetector::recordRace(uint32_t SrcId, AccessKind PrevKind,
     return;
   }
   CPairs->inc();
+  if (SinkRuns.empty() || SinkRuns.back().first != Id)
+    SinkRuns.emplace_back(Id, static_cast<uint32_t>(Report.Pairs.size()));
   RacePair R;
   R.Src = Tree.node(SrcId);
-  R.Snk = CurStep;
   R.Loc = L;
   R.SrcKind = PrevKind;
   R.SnkKind = CurKind;
@@ -246,4 +247,15 @@ void EspBagsDetector::writeSlot(Shadow &S, DpstNode *Step, MemLoc L) {
     S.Writers.push_back(Access{curTaskElem(), Id});
 }
 
-RaceReport EspBagsDetector::takeReport() { return std::move(Report); }
+RaceReport EspBagsDetector::takeReport() {
+  const Dpst &Tree = Builder.tree();
+  for (size_t I = 0; I != SinkRuns.size(); ++I) {
+    const DpstNode *Snk = Tree.node(SinkRuns[I].first);
+    size_t End = I + 1 == SinkRuns.size() ? Report.Pairs.size()
+                                          : SinkRuns[I + 1].second;
+    for (size_t P = SinkRuns[I].second; P != End; ++P)
+      Report.Pairs[P].Snk = Snk;
+  }
+  SinkRuns.clear();
+  return std::move(Report);
+}

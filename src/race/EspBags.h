@@ -58,6 +58,7 @@
 #include "race/ShadowMemory.h"
 #include "support/SmallVector.h"
 
+#include <utility>
 #include <vector>
 
 namespace tdr {
@@ -175,6 +176,12 @@ private:
   /// Power-of-two open-addressing table over the tail's pairs, kept at
   /// most half full.
   std::vector<SinkSlot> SinkSlots;
+  /// (sink step id, index of its first pair), one entry per sink. Pairs
+  /// get their Snk pointer from here in takeReport: a sink is the current
+  /// step, and its task may still be folded into a collapsed leaf (see
+  /// DpstBuilder), which frees the step's node. A source is never folded
+  /// after it is recorded: its task is closed or has spawned.
+  std::vector<std::pair<uint32_t, uint32_t>> SinkRuns;
 };
 
 } // namespace tdr

@@ -349,7 +349,9 @@ RepairResult tdr::repairProgram(Program &P, AstContext &Ctx,
     return Result;
   }
 
-  const DetectOptions Detect{Opts.Mode};
+  // Placement edits every dynamic instance of a block, including those
+  // inside spawn-free tasks, so the loop keeps the full tree.
+  const DetectOptions Detect{Opts.Mode, DpstShape::Full};
 
   for (unsigned Iter = 0; Iter != Opts.MaxIterations; ++Iter) {
     Timer DetectTimer;

@@ -37,16 +37,19 @@ public:
   WalkResult walk(const DpstNode *N, std::vector<uint32_t> Preds,
                   const std::vector<uint32_t> *Joined) {
     std::vector<uint32_t> Pending;
+    if (N->isCollapsed()) {
+      // A collapsed leaf is the chain of its folded steps.
+      const std::vector<uint32_t> *F = Tree.forced(N);
+      Tree.forEachFoldedStep(N, [&](uint64_t W) {
+        Joined = addStep(W, F, Preds, Joined);
+      });
+      return WalkResult{std::move(Preds), std::move(Pending), Joined};
+    }
     for (const DpstNode *C : Tree.children(N)) {
       switch (C->kind()) {
-      case DpstKind::Step: {
-        uint32_t Id = addNode(C->weight());
-        for (uint32_t P : Preds)
-          addEdge(P, Id);
-        Joined = joinForced(C, Id, Joined);
-        Preds.assign(1, Id);
+      case DpstKind::Step:
+        Joined = addStep(C->weight(), Tree.forced(C), Preds, Joined);
         break;
-      }
       case DpstKind::Scope: {
         WalkResult R = walk(C, std::move(Preds), Joined);
         Preds = std::move(R.Exits);
@@ -87,6 +90,20 @@ public:
   }
 
 private:
+  /// Appends a step of weight \p Weight and forced set \p F after
+  /// \p Preds, which becomes the new step alone. Returns the set now
+  /// joined (see joinForced).
+  const std::vector<uint32_t> *addStep(uint64_t Weight,
+                                       const std::vector<uint32_t> *F,
+                                       std::vector<uint32_t> &Preds,
+                                       const std::vector<uint32_t> *Joined) {
+    uint32_t Id = addNode(Weight);
+    for (uint32_t P : Preds)
+      addEdge(P, Id);
+    Preds.assign(1, Id);
+    return joinForced(F, Id, Joined);
+  }
+
   uint32_t addNode(uint64_t Weight) {
     G.Nodes.push_back(CompGraph::Node{Weight, {}, 0});
     return static_cast<uint32_t>(G.Nodes.size() - 1);
@@ -98,13 +115,13 @@ private:
   }
 
   /// Force edges: step \p Id starts after every future its forced set
-  /// names, i.e. after all of that future's exits. The set is skipped when
-  /// it is \p Joined (see walk). Returns the set now joined. Futures
+  /// \p F names, i.e. after all of that future's exits. The set is skipped
+  /// when it is \p Joined (see walk). Returns the set now joined. Futures
   /// complete before any step that forces them, so the edges respect the
   /// node order.
-  const std::vector<uint32_t> *joinForced(const DpstNode *Step, uint32_t Id,
+  const std::vector<uint32_t> *joinForced(const std::vector<uint32_t> *F,
+                                          uint32_t Id,
                                           const std::vector<uint32_t> *Joined) {
-    const std::vector<uint32_t> *F = Tree.forced(Step);
     if (!F || F == Joined)
       return Joined;
     for (uint32_t Fid : *F)

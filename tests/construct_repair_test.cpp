@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CompactCheck.h"
 #include "TestUtil.h"
 
 #include "race/Detect.h"
@@ -346,6 +347,23 @@ TEST(ConstructSuite, DetectionMatchesOracle) {
     EXPECT_EQ(renderRaceReportKey(D.Report), renderRaceReportKey(O.Report))
         << Spec.Name << ": espbags vs oracle";
   }
+}
+
+TEST(ConstructSuite, CompactDetectionMatchesFullTree) {
+  // At PerfArgs the future, the isolated program's heavy tasks and the
+  // forasync chunks are large enough to fold.
+  size_t Folded = 0;
+  for (const BenchmarkSpec &Spec : constructBenchmarks()) {
+    ParsedProgram P = parseAndCheck(Spec.Source);
+    ASSERT_TRUE(P.ok()) << Spec.Name << ": " << P.errors();
+    for (const std::vector<int64_t> *Args :
+         {&Spec.RepairArgs, &Spec.PerfArgs}) {
+      ExecOptions Exec;
+      Exec.Args = *Args;
+      Folded += expectCompactMatchesFull(*P.Prog, Exec, Spec.Name);
+    }
+  }
+  EXPECT_GT(Folded, 0u);
 }
 
 TEST(ConstructSuite, RepairsWithTheFullAllowlist) {

@@ -5,16 +5,20 @@
 // Structure checks on the paper's Fibonacci example (Figure 9), LCA /
 // NS-LCA queries (Definitions 3-5), the Theorem-1 parallelism criterion,
 // finish-node insertion (Figure 14), the compact layout's interval
-// queries against a naive parent-pointer reference, and its byte budget.
+// queries against a naive parent-pointer reference, and its byte budget;
+// the compact shape's folding rule, pinned steps and node budgets.
 //
 //===----------------------------------------------------------------------===//
 
+#include "CompactCheck.h"
 #include "RandomProgram.h"
 #include "TestUtil.h"
 
+#include "ast/Transforms.h"
 #include "dpst/Dpst.h"
 #include "race/Detect.h"
 #include "suite/Benchmarks.h"
+#include "suite/Experiment.h"
 #include "support/Rng.h"
 
 #include <algorithm>
@@ -674,6 +678,251 @@ TEST(DpstLayout, SuiteTreesStayWithinByteBudget) {
     EXPECT_LE(PerNode, 64.0) << Name;
     EXPECT_GE(PerNode, static_cast<double>(sizeof(DpstNode))) << Name;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The compact shape
+//===----------------------------------------------------------------------===//
+
+/// Compact MRW detection of \p Src.
+Detection detectCompact(const ParsedProgram &P) {
+  return detectRaces(*P.Prog, DetectOptions());
+}
+
+/// The async and future nodes of \p T, left to right (materialized nodes
+/// only: a collapsed leaf lists no children).
+std::vector<const DpstNode *> taskNodes(const Dpst &T) {
+  std::vector<const DpstNode *> Out;
+  collectKind(T, T.root(), DpstKind::Async, Out);
+  collectKind(T, T.root(), DpstKind::Future, Out);
+  std::sort(Out.begin(), Out.end(), [](const DpstNode *A, const DpstNode *B) {
+    return A->id() < B->id();
+  });
+  return Out;
+}
+
+TEST(DpstCompact, RaceSourceInACollapsedAsyncIsPinned) {
+  // The loop gives the async 2 ids per iteration (body scope and step),
+  // enough to fold: a subtree holding no whole chunk stays.
+  ParsedProgram P = parseAndCheck(R"(
+func main() {
+  var a: int[] = new int[1];
+  async {
+    var t: int = 0;
+    for (var k: int = 0; k < 300; k = k + 1) {
+      t = t + k;
+    }
+    a[0] = t;
+  }
+  a[0] = 2;
+}
+)");
+  ASSERT_TRUE(P.ok()) << P.errors();
+  Detection D = detectCompact(P);
+  ASSERT_TRUE(D.ok()) << D.Exec.Error;
+  ASSERT_EQ(D.Report.Pairs.size(), 1u);
+  const Dpst &T = *D.Tree;
+  const DpstNode *Src = D.Report.Pairs[0].Src;
+  const DpstNode *Async = Src->parent();
+  ASSERT_TRUE(Async->isAsync());
+  EXPECT_TRUE(Async->isCollapsed());
+  EXPECT_TRUE(Src->isStep());
+  EXPECT_EQ(T.numCollapsed(), 1u);
+  EXPECT_GT(T.numNodes() - T.numKept(), 600u);
+  EXPECT_TRUE(T.childList(Async).empty());
+  // The pinned step is memoized: every lookup returns the same node.
+  EXPECT_EQ(T.node(Src->id()), Src);
+  EXPECT_EQ(T.node(Src->id()), T.node(Src->id()));
+  EXPECT_TRUE(T.isAncestorOrSelf(Async, Src));
+  EXPECT_TRUE(T.mayHappenInParallel(Src, D.Report.Pairs[0].Snk));
+  EXPECT_EQ(T.nsLca(Src, D.Report.Pairs[0].Snk), T.root());
+  Detection Full = detectRaces(
+      *P.Prog, DetectOptions{EspBagsDetector::Mode::MRW, DpstShape::Full});
+  EXPECT_EQ(T.subtreeWork(Async),
+            Full.Tree->subtreeWork(Full.Tree->node(Async->id())));
+  expectCompactMatchesFull(*P.Prog, ExecOptions(), "pinned");
+}
+
+TEST(DpstCompact, OnlyLargeSpawnFreeTasksCollapse) {
+  // Every task runs work()'s loop except the last, so each kept task
+  // below is kept for the reason its comment names.
+  ParsedProgram P = parseAndCheck(R"(
+func work(a: int[], i: int): int {
+  var t: int = 0;
+  for (var k: int = 0; k < 300; k = k + 1) {
+    t = t + k;
+  }
+  a[i] = a[i] + t;
+  return i;
+}
+func main() {
+  var a: int[] = new int[8];
+  async {
+    async work(a, 1);
+  }
+  future f = work(a, 2);
+  async {
+    a[3] = force(f) + work(a, 3);
+  }
+  async {
+    isolated { a[4] = a[4] + 1; }
+    a[4] = work(a, 4);
+  }
+  async {
+    finish { a[5] = work(a, 5); }
+  }
+  async work(a, 6);
+  async {
+    a[7] = 1;
+  }
+}
+)");
+  ASSERT_TRUE(P.ok()) << P.errors();
+  Detection D = detectCompact(P);
+  ASSERT_TRUE(D.ok()) << D.Exec.Error;
+  std::vector<const DpstNode *> Tasks = taskNodes(*D.Tree);
+  // Spawner, inner async, future, forcing async, isolated async, finish
+  // async, plain async, tiny async.
+  ASSERT_EQ(Tasks.size(), 8u);
+  const bool Collapsed[] = {false, true,  true, false,
+                            false, false, true, false};
+  for (size_t I = 0; I != Tasks.size(); ++I)
+    EXPECT_EQ(Tasks[I]->isCollapsed(), Collapsed[I]) << Tasks[I]->label();
+  EXPECT_EQ(D.Tree->numCollapsed(), 3u);
+  expectCompactMatchesFull(*P.Prog, ExecOptions(), "rule");
+}
+
+TEST(DpstCompact, CollapsedFutureKeepsItsForcedSet) {
+  // g starts after f is forced, so g's steps carry f in their forced set
+  // and are ordered after f's body although both futures fold and the
+  // bags alone would call them parallel.
+  ParsedProgram P = parseAndCheck(R"(
+func put(a: int[], v: int): int {
+  var t: int = 0;
+  for (var k: int = 0; k < 300; k = k + 1) {
+    t = t + k;
+  }
+  a[0] = v + t;
+  return v;
+}
+func main() {
+  var a: int[] = new int[2];
+  future f = put(a, 1);
+  a[1] = force(f);
+  future g = put(a, 2);
+  future h = put(a, 3);
+  a[1] = force(g) + force(h);
+}
+)");
+  ASSERT_TRUE(P.ok()) << P.errors();
+  Detection D = detectCompact(P);
+  ASSERT_TRUE(D.ok()) << D.Exec.Error;
+  const Dpst &T = *D.Tree;
+  std::vector<const DpstNode *> Futures = taskNodes(T);
+  ASSERT_EQ(Futures.size(), 3u);
+  for (const DpstNode *F : Futures)
+    EXPECT_TRUE(F->isCollapsed()) << F->label();
+  // Only g and h race on a[0]; f is joined by the force before either.
+  ASSERT_EQ(D.Report.Pairs.size(), 1u);
+  const RacePair &R = D.Report.Pairs[0];
+  EXPECT_EQ(R.Src->parent(), Futures[1]);
+  EXPECT_EQ(R.Snk->parent(), Futures[2]);
+  // A step of f (located on the full tree) against a step of g: g's
+  // forced set names f.
+  Detection Full = detectRaces(
+      *P.Prog, DetectOptions{EspBagsDetector::Mode::MRW, DpstShape::Full});
+  std::vector<const DpstNode *> FullFutures = taskNodes(*Full.Tree);
+  ASSERT_EQ(FullFutures.size(), 3u);
+  std::vector<const DpstNode *> FSteps;
+  collectSteps(*Full.Tree, FullFutures[0], FSteps);
+  ASSERT_FALSE(FSteps.empty());
+  const DpstNode *InF = T.node(FSteps.back()->id());
+  ASSERT_TRUE(InF->isStep());
+  ASSERT_EQ(InF->parent(), Futures[0]);
+  const std::vector<uint32_t> *GForced = T.forced(R.Src);
+  ASSERT_NE(GForced, nullptr);
+  EXPECT_EQ(*GForced, std::vector<uint32_t>{Futures[0]->futureId()});
+  EXPECT_EQ(T.forced(Futures[1]), GForced);
+  EXPECT_FALSE(T.mayHappenInParallel(InF, R.Src));
+  EXPECT_TRUE(T.mayHappenInParallel(R.Src, R.Snk));
+  expectCompactMatchesFull(*P.Prog, ExecOptions(), "future");
+}
+
+TEST(DpstCompact, TaskSpawnedRightAfterAForceWaitsForTheFuture) {
+  // No step runs between force(f) and the spawn, so the collapsed
+  // async's first step is the first to carry f in its forced set: the
+  // schedule DAG's force edge from f must come from the folded chain.
+  ParsedProgram P = parseAndCheck(R"(
+func spin(n: int): int {
+  var s: int = 0;
+  for (var i: int = 0; i < n; i = i + 1) {
+    s = s + i;
+  }
+  return s;
+}
+func main() {
+  var a: int[] = new int[2];
+  future f = spin(400);
+  force(f);
+  async {
+    a[0] = spin(300);
+  }
+  a[1] = spin(50);
+}
+)");
+  ASSERT_TRUE(P.ok()) << P.errors();
+  Detection D = detectCompact(P);
+  ASSERT_TRUE(D.ok()) << D.Exec.Error;
+  EXPECT_EQ(D.Tree->numCollapsed(), 2u);
+  Detection Full = detectRaces(
+      *P.Prog, DetectOptions{EspBagsDetector::Mode::MRW, DpstShape::Full});
+  EXPECT_EQ(analyzeDpst(*D.Tree, 4).Tinf, analyzeDpst(*Full.Tree, 4).Tinf);
+  expectCompactMatchesFull(*P.Prog, ExecOptions(), "force-spawn");
+}
+
+/// Compact MRW detection of the finish-stripped suite program \p Name at
+/// its performance input, with \p Arg replacing the first argument when
+/// non-zero.
+Detection detectStrippedPerf(const char *Name, int64_t Arg = 0) {
+  const BenchmarkSpec *Spec = findBenchmark(Name);
+  EXPECT_NE(Spec, nullptr);
+  LoadedBenchmark B = loadBenchmark(Spec->Source);
+  stripFinishes(*B.Prog);
+  ExecOptions Exec;
+  Exec.Args = Spec->PerfArgs;
+  if (Arg)
+    Exec.Args[0] = Arg;
+  return detectRaces(*B.Prog, DetectOptions(), Exec);
+}
+
+/// The optimized, sanitizer-free build runs the gates at the performance
+/// inputs; Debug and sanitizer builds one size down, under the same
+/// per-id bound.
+#if defined(NDEBUG) && !defined(__SANITIZE_ADDRESS__)
+constexpr bool FullSizeGates = true;
+#else
+constexpr bool FullSizeGates = false;
+#endif
+
+TEST(DpstCompact, FannKuchKeepsAHandfulOfNodes) {
+  // 8 asyncs and 1 finish; at n = 8 the tree has 9,589,054 ids, of which
+  // the full shape materializes every one at ~48 B.
+  Detection D = detectStrippedPerf("FannKuch", FullSizeGates ? 0 : 7);
+  ASSERT_TRUE(D.ok()) << D.Exec.Error;
+  const Dpst &T = *D.Tree;
+  if (FullSizeGates) {
+    EXPECT_EQ(T.numNodes(), 9589054u);
+  }
+  EXPECT_LE(T.numKept(), 100u);
+  EXPECT_LE(static_cast<double>(T.bytesUsed()),
+            5.0 * static_cast<double>(T.numNodes()));
+}
+
+TEST(DpstCompact, MandelbrotKeepsUnderOneHundredThousandNodes) {
+  Detection D = detectStrippedPerf("Mandelbrot", FullSizeGates ? 0 : 64);
+  ASSERT_TRUE(D.ok()) << D.Exec.Error;
+  EXPECT_LE(D.Tree->numKept(), 100000u);
+  EXPECT_LT(D.Tree->numKept(), D.Tree->numNodes() / 10);
 }
 
 } // namespace

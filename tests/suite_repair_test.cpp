@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CompactCheck.h"
 #include "TestUtil.h"
 
 #include "ast/Transforms.h"
@@ -48,6 +49,16 @@ TEST_P(SuiteRepairTest, StrippedHasRaces) {
   ASSERT_TRUE(D.ok()) << D.Exec.Error;
   EXPECT_GT(D.Report.Pairs.size(), 0u)
       << Spec->Name << ": stripping finishes must introduce races";
+}
+
+TEST_P(SuiteRepairTest, CompactDetectionMatchesFullTree) {
+  const BenchmarkSpec *Spec = findBenchmark(GetParam());
+  ASSERT_NE(Spec, nullptr);
+  LoadedBenchmark B = loadBenchmark(Spec->Source);
+  stripFinishes(*B.Prog);
+  ExecOptions Exec;
+  Exec.Args = Spec->RepairArgs;
+  test::expectCompactMatchesFull(*B.Prog, Exec, Spec->Name);
 }
 
 TEST_P(SuiteRepairTest, RepairRestoresCorrectnessAndParallelism) {

@@ -12,6 +12,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CompactCheck.h"
+#include "TestUtil.h"
+
 #include "fuzz/Oracle.h"
 #include "fuzz/Trophy.h"
 
@@ -65,6 +68,14 @@ TEST(TrophyCorpus, FixedTrophiesStayFixed) {
         << (Out.Findings.empty() ? "" : ": " + Out.Findings.front().Detail);
   }
   EXPECT_GT(Checked, 0u) << "corpus has no fixed trophies";
+}
+
+TEST(TrophyCorpus, CompactDetectionMatchesFullTree) {
+  for (const fuzz::Trophy &T : loadCorpus()) {
+    test::ParsedProgram P = test::parseAndCheck(T.Source);
+    ASSERT_TRUE(P.ok()) << T.Name << ": " << P.errors();
+    test::expectCompactMatchesFull(*P.Prog, ExecOptions(), T.Name);
+  }
 }
 
 TEST(TrophyCorpus, OpenTrophiesStillReproduce) {

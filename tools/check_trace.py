@@ -4,7 +4,8 @@
 Runs `tdr races <racy program> --trace ... --metrics-json ...` and checks
 that the emitted trace is well-formed Chrome trace_event JSON (loadable in
 chrome://tracing / Perfetto) and that the metrics dump is a flat JSON
-object covering the pipeline. Span names are validated against
+object covering the pipeline, the runtime ledger (S-DPST bytes, array
+heap, peak RSS) and the compact S-DPST's shape gauges. Span names are validated against
 src/obs/Phases.def — the same registry the C++ hook points compile their
 phase constants from — so the vocabulary lives in exactly one place. Also runs `tdr batch --jobs 2 --trace` and
 checks the async ('b'/'e') per-job lane events: every begin has a matching
@@ -163,9 +164,17 @@ def validate_metrics(path):
         check(ok, f"metric '{key}' is neither a number nor a histogram object")
     for name in ("dpst.nodes", "espbags.checks", "detect.runs"):
         check(name in doc, f"metrics dump missing '{name}'")
-    # The runtime ledger: bytes the S-DPST of the last detection held.
-    check(doc.get("dpst.bytes_used", 0) > 0,
-          "metrics dump missing a non-zero 'dpst.bytes_used'")
+    # The runtime ledger: bytes the S-DPST of the last detection held, the
+    # interpreter's array heap and the process's peak RSS.
+    for name in ("dpst.bytes_used", "interp.heap_bytes", "proc.peak_rss_bytes"):
+        check(doc.get(name, 0) > 0, f"metrics dump missing a non-zero '{name}'")
+    # The compact S-DPST's shape. The racy program's asyncs are too small
+    # to fold (a task folds only when that frees a whole node chunk), so
+    # every node is kept.
+    for name in ("dpst.nodes_kept", "dpst.tasks_collapsed"):
+        check(name in doc, f"metrics dump missing '{name}'")
+    check(0 < doc.get("dpst.nodes_kept", 0) <= doc.get("detect.dpst_nodes", 0),
+          "'dpst.nodes_kept' must be in (0, detect.dpst_nodes]")
 
 
 def main():

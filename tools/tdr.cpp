@@ -468,7 +468,8 @@ int cmdDot(const Options &O) {
   if (!load(O.File, L))
     return 1;
   Detection D = detectRaces(
-      *L.Prog, DetectOptions{EspBagsDetector::Mode::SRW}, execOptions(O));
+      *L.Prog, DetectOptions{EspBagsDetector::Mode::SRW, DpstShape::Full},
+      execOptions(O));
   if (!D.ok()) {
     std::fprintf(stderr, "execution failed: %s\n", D.Exec.Error.c_str());
     return 1;
@@ -707,6 +708,7 @@ int main(int Argc, char **Argv) {
     }
   }
   if (!O.MetricsFile.empty()) {
+    obs::gauge("proc.peak_rss_bytes").set(obs::peakRssBytes());
     if (obs::MetricsRegistry::global().writeJson(O.MetricsFile))
       std::fprintf(stderr, "tdr: wrote metrics to %s\n",
                    O.MetricsFile.c_str());
